@@ -20,9 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import dataset, evaluation, features, mslstm, pipeline, tracker
-from .errors import BlinkwildError
+from .errors import BlinkwildError, PredictionsError
 
 EYES = ("left", "right")
+PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence"}
 
 
 def _max_workers() -> int:
@@ -184,11 +185,11 @@ def cmd_verify(args) -> int:
     scores = {eye: [] for eye in EYES}
     for entry in manifest.split("test"):
         clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
-        locator = pipeline.annotation_locator(clip)
-        streams = pipeline.track_eyes(clip.frames, locator,
+        streams = pipeline.track_eyes(clip.frames,
+                                      pipeline.annotation_locator(clip),
                                       track_thresh=args.track_thresh)
-        verdicts = pipeline.verify_clip(clip, locator, model, patch,
-                                        track_thresh=args.track_thresh)
+        verdicts = pipeline.verify_streams(clip.frames, streams, model,
+                                           patch)
         is_blink = entry.label == dataset.LABEL_BLINK
         for eye in EYES:
             v = verdicts[eye]
@@ -268,8 +269,20 @@ def cmd_eval(args) -> int:
     confusion = {eye: [0, 0, 0] for eye in EYES}
     scores = []
     with open(args.predictions, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        missing = PREDICTION_COLUMNS - set(reader.fieldnames or ())
+        if missing:
+            raise PredictionsError(f"{args.predictions}: missing columns "
+                                   f"{sorted(missing)}")
+        for row in reader:
+            where = f"{args.predictions}:{reader.line_num}"
             eye = row["eye"]
+            if eye not in confusion:
+                raise PredictionsError(f"{where}: unknown eye {eye!r}")
+            if row["clip"] not in truth:
+                raise PredictionsError(
+                    f"{where}: clip {row['clip']!r} is not in manifest "
+                    f"{args.manifest}")
             is_blink = truth[row["clip"]]
             predicted = row["label"] == dataset.LABEL_BLINK
             scores.append((float(row["confidence"]), is_blink))

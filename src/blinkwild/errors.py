@@ -25,6 +25,14 @@ class NoVisibleEyeError(BlinkwildError):
     """Eye-region geometry was requested with neither eye visible."""
 
 
+class ModelFormatError(BlinkwildError, ValueError):
+    """A model file is not a complete, well-formed model."""
+
+
+class PredictionsError(BlinkwildError):
+    """A predictions CSV does not match its manifest."""
+
+
 class TrackLostError(BlinkwildError):
     """Tracker region has left the frame entirely."""
 

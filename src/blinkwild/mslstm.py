@@ -12,12 +12,14 @@ ADAM) is plain numpy in float64.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDatasetError
+from .errors import InvalidDatasetError, ModelFormatError
 
 N_CLASSES = 2
 CLASS_NONBLINK = 0
@@ -216,6 +218,8 @@ def forward(model: MsLstmModel, seq: np.ndarray):
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 2 or seq.shape[1] != model.input_dim:
         raise ValueError("sequence has wrong feature dimension")
+    if not np.all(np.isfinite(seq)):
+        raise ValueError("non-finite input sequence")
     feats, _ = _forward_batch(model, seq[None])
     feat = feats[0]
     r = float(np.linalg.norm(feat))
@@ -451,25 +455,55 @@ def save_model(path: str, model: MsLstmModel) -> None:
         f.write(np.ascontiguousarray(model.head, dtype="<f8").tobytes())
 
 
+def _model_shapes(n_layers: int, scales: int, hidden: int, input_dim: int):
+    """Array shapes in file order: (w, u, b) per layer, then the head."""
+    dim = input_dim
+    for _ in range(n_layers):
+        yield (dim, GATES * hidden)
+        yield (hidden, GATES * hidden)
+        yield (GATES * hidden,)
+        dim = hidden
+    yield (N_CLASSES, scales * hidden)
+
+
 def load_model(path: str) -> MsLstmModel:
+    """Read a model file, checking its header against the file size before
+    any array is allocated."""
+    header_size = len(MODEL_MAGIC) + 20
     with open(path, "rb") as f:
-        if f.read(4) != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file")
-        n_layers, scales, hidden, input_dim, margin = struct.unpack(
-            "<5I", f.read(20))
-
-        def block(shape):
-            n = int(np.prod(shape))
-            return np.frombuffer(f.read(8 * n), dtype="<f8").reshape(
-                shape).astype(np.float64)
-
-        layers = []
-        dim = input_dim
-        for _ in range(n_layers):
-            layers.append(LstmLayerParams(
-                w=block((dim, GATES * hidden)),
-                u=block((hidden, GATES * hidden)),
-                b=block((GATES * hidden,))))
-            dim = hidden
-        head = block((N_CLASSES, scales * hidden))
-    return MsLstmModel(layers=layers, head=head, scales=scales, margin=margin)
+        header = f.read(header_size)
+        if header[:len(MODEL_MAGIC)] != MODEL_MAGIC:
+            raise ModelFormatError(f"{path}: not a model file")
+        if len(header) < header_size:
+            raise ModelFormatError(f"{path}: truncated model header")
+        dims = struct.unpack("<5I", header[len(MODEL_MAGIC):])
+        for name, value in zip(("layers", "scales", "hidden", "input_dim",
+                                "margin"), dims):
+            if value < 1:
+                raise ModelFormatError(f"{path}: header field {name} is "
+                                       f"{value}, must be >= 1")
+        n_layers, scales, hidden, input_dim, margin = dims
+        size = os.fstat(f.fileno()).st_size
+        shapes, expected = [], header_size
+        for shape in _model_shapes(n_layers, scales, hidden, input_dim):
+            shapes.append(shape)
+            expected += 8 * math.prod(shape)
+            if expected > size:
+                raise ModelFormatError(f"{path}: truncated: the header "
+                                       f"needs more than {size} bytes")
+        if expected != size:
+            raise ModelFormatError(f"{path}: {size - expected} bytes after "
+                                   f"the model")
+        body = f.read()
+    arrays = []
+    offset = 0
+    for shape in shapes:
+        n = math.prod(shape)
+        arrays.append(np.frombuffer(body, dtype="<f8", count=n,
+                                    offset=offset).reshape(shape)
+                      .astype(np.float64))
+        offset += 8 * n
+    layers = [LstmLayerParams(*arrays[i:i + 3])
+              for i in range(0, 3 * n_layers, 3)]
+    return MsLstmModel(layers=layers, head=arrays[-1], scales=scales,
+                       margin=margin)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import features, mslstm, tracker
 from .dataset import AnnotationRecord, Clip, EyeCenter, eye_region
-from .errors import NoVisibleEyeError
+from .errors import NoVisibleEyeError, TrackLostError
 
 EYES = ("left", "right")
 TRACK_THRESH = 0.25  # re-localization trigger on the KCF score
@@ -80,29 +80,38 @@ def _region_for(eye_name: str, located) -> tuple | None:
 def _track_one_eye(frames, locator: EyeLocator, eye_name: str,
                    params: tracker.KcfParams,
                    track_thresh: float) -> TrackedStream:
+    """Track one eye; a track that cannot start or leaves the frame ends
+    there, with no box from that frame on."""
+    n = len(frames)
+    stream = TrackedStream(boxes=[], scores=[])
     located = locator(frames[0], 0)
     region = _region_for(eye_name, located) if located else None
-    if region is None:
-        n = len(frames)
-        return TrackedStream(boxes=[None] * n, scores=[0.0] * n, lost_from=0)
-
-    stream = TrackedStream(boxes=[region], scores=[1.0])
-    state = tracker.kcf_init(frames[0], region, params)
-    for t in range(1, len(frames)):
-        state, result = tracker.kcf_update(state, frames[t])
-        score = result.score
-        if score < track_thresh:
-            stream.reloc_indices.append(t)
-            located = locator(frames[t], t)
-            fresh = _region_for(eye_name, located) if located else None
-            if fresh is not None:
-                state = tracker.kcf_init(frames[t], fresh, params)
-                stream.boxes.append(fresh)
-                stream.scores.append(score)
-                continue
-            # locator failed: keep the tracker's best guess
-        stream.boxes.append(result.region)
-        stream.scores.append(score)
+    t = 0
+    try:
+        if region is None:
+            raise TrackLostError("eye not located in the first frame")
+        state = tracker.kcf_init(frames[0], region, params)
+        stream.boxes.append(region)
+        stream.scores.append(1.0)
+        for t in range(1, n):
+            state, result = tracker.kcf_update(state, frames[t])
+            score = result.score
+            if score < track_thresh:
+                stream.reloc_indices.append(t)
+                located = locator(frames[t], t)
+                fresh = _region_for(eye_name, located) if located else None
+                if fresh is not None:
+                    state = tracker.kcf_init(frames[t], fresh, params)
+                    stream.boxes.append(fresh)
+                    stream.scores.append(score)
+                    continue
+                # locator failed: keep the tracker's best guess
+            stream.boxes.append(result.region)
+            stream.scores.append(score)
+    except TrackLostError:
+        stream.lost_from = t
+        stream.boxes.extend([None] * (n - t))
+        stream.scores.extend([0.0] * (n - t))
     return stream
 
 
@@ -129,18 +138,26 @@ def verify_clip(clip: Clip, locator: EyeLocator, model: mslstm.MsLstmModel,
                 patch_size=features.DEFAULT_PATCH_SIZE,
                 params: tracker.KcfParams | None = None,
                 track_thresh: float = TRACK_THRESH) -> dict[str, EyeVerdict]:
-    """Per-eye blink verdict for a fixed-length clip.
-
-    A lost track yields (nonblink, 0.0, lost) so it can be counted as a
-    false negative for blink-labelled clips.
-    """
+    """Per-eye blink verdict for a fixed-length clip: track, then verify."""
     streams = track_eyes(clip.frames, locator, params, track_thresh)
+    return verify_streams(clip.frames, streams, model, patch_size)
+
+
+def verify_streams(frames, streams: dict[str, TrackedStream],
+                   model: mslstm.MsLstmModel,
+                   patch_size=features.DEFAULT_PATCH_SIZE
+                   ) -> dict[str, EyeVerdict]:
+    """Per-eye blink verdict from the streams ``track_eyes`` returned.
+
+    A track lost anywhere in the clip yields (nonblink, 0.0, lost) so it can
+    be counted as a false negative for blink-labelled clips.
+    """
     out = {}
     for eye, stream in streams.items():
         if stream.lost_from is not None:
             out[eye] = EyeVerdict("nonblink", 0.0, True)
             continue
-        seq = features.featurize_frames(clip.frames, stream.boxes, patch_size)
+        seq = features.featurize_frames(frames, stream.boxes, patch_size)
         label, conf = mslstm.predict(model, seq)
         name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
         out[eye] = EyeVerdict(name, conf, False)
@@ -185,7 +202,9 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     """Sliding-window blink detection over an untrimmed stream.
 
     One tracked stream per eye spans the whole video; each window position
-    is featurized from the already-tracked boxes and classified. Windows at
+    is featurized from the already-tracked boxes and classified. A lost
+    track ends the eye's windows: only those fully inside ``[0, lost_from)``
+    are scored. Windows at
     or above the confidence threshold become proposals, pruned per eye by
     temporal NMS. Events come back sorted by start frame.
     """
@@ -195,17 +214,17 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     streams = track_eyes(frames, locator, params, track_thresh)
     events: list[BlinkEvent] = []
     for eye, stream in streams.items():
-        if stream.lost_from is not None:
-            continue
+        tracked = n if stream.lost_from is None else stream.lost_from
         # per-frame histograms once; windows reuse them
         hists = []
-        for frame, (cx, cy, h, w) in zip(frames, stream.boxes):
+        for frame, (cx, cy, h, w) in zip(frames[:tracked],
+                                         stream.boxes[:tracked]):
             patch = features.crop_eye(frame, EyeCenter(cx, cy),
                                       (int(round(h)), int(round(w))))
             patch = features.resize_patch(patch, patch_size)
             hists.append(features.uniform_lbp(patch))
         proposals = []
-        for s in range(0, n - window + 1, stride):
+        for s in range(0, tracked - window + 1, stride):
             steps = np.empty((window - 1, features.FEATURE_DIM))
             for t in range(1, window):
                 steps[t - 1, :features.N_BINS] = hists[s + t]

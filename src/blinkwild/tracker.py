@@ -1,9 +1,13 @@
 """Kernelized correlation filter tracking over grayscale patches.
 
 Single-channel KCF with a Gaussian kernel: ridge regression over all cyclic
-shifts of the target patch, solved in the Fourier domain. The region size is
-fixed for the lifetime of a track; the peak of the real response map is
-exposed as the tracking score so callers can trigger re-localization.
+shifts of the target patch, solved in the Fourier domain. The model (the
+template and the dual coefficients) is kept as ``rfft2`` spectra, as in
+Henriques et al., "High-Speed Tracking with Kernelized Correlation Filters"
+(TPAMI 2015): each new patch is transformed once, and the learning-rate blend
+runs on the spectra. The region size is fixed for the lifetime of a track;
+the peak of the real response map is exposed as the tracking score so
+callers can trigger re-localization.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ class KcfParams:
 
 @dataclass
 class KcfState:
-    template: np.ndarray           # windowed, zero-mean training patch
-    alpha_hat: np.ndarray          # dual coefficients, frequency domain
+    template_hat: np.ndarray       # rfft2 of the windowed, zero-mean template
+    alpha_hat: np.ndarray          # dual coefficients, rfft2 domain
     region: tuple[float, float, float, float]  # cx, cy, h, w
-    window: np.ndarray = field(repr=False)     # Hann window
-    y_hat: np.ndarray = field(repr=False)      # DFT of target response
+    window: np.ndarray = field(repr=False)     # Hann window, patch shape
+    y_hat: np.ndarray = field(repr=False)      # rfft2 of target response
     params: KcfParams = field(default_factory=KcfParams)
 
 
@@ -41,20 +45,45 @@ class TrackResult:
     score: float
 
 
+def _energy(x_hat: np.ndarray, width: int) -> float:
+    """||x||^2 from the rfft2 spectrum of x (Parseval).
+
+    Columns 1..W/2 stand for their mirrored twins too, except column 0 and,
+    for even W, the Nyquist column.
+    """
+    power = x_hat.real ** 2 + x_hat.imag ** 2
+    twice = 2.0 * power.sum() - power[:, 0].sum()
+    if width % 2 == 0:
+        twice -= power[:, -1].sum()
+    return float(twice) / (power.shape[0] * width)
+
+
+def _kernel(x_hat: np.ndarray, z_hat: np.ndarray, energy: float,
+            shape: tuple[int, int], sigma_k: float) -> np.ndarray:
+    """Gaussian kernel map from the rfft2 spectra of x and z.
+
+    ``energy`` is ||x||^2 + ||z||^2; the circular cross-correlation takes a
+    single inverse transform.
+    """
+    cross = np.fft.irfft2(x_hat * np.conj(z_hat), s=shape)
+    d = (energy - 2.0 * cross) / cross.size
+    return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
+
+
 def gaussian_correlation(x: np.ndarray, z: np.ndarray,
                          sigma_k: float) -> np.ndarray:
     """Gaussian kernel evaluated at every circular lag between x and z.
 
     k(tau) = exp(-(||x||^2 + ||z||^2 - 2 corr_xz(tau)) / (sigma^2 N)) with the
-    inner expression clamped at zero; corr realized with one DFT/IDFT pair.
+    inner expression clamped at zero; corr realized with one rfft2/irfft2
+    round trip through the same kernel the tracker runs.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x.shape != z.shape:
         raise ValueError("patch shapes differ")
-    cross = np.fft.ifft2(np.fft.fft2(x) * np.conj(np.fft.fft2(z))).real
-    d = (np.sum(x * x) + np.sum(z * z) - 2.0 * cross) / x.size
-    return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
+    energy = np.sum(x * x) + np.sum(z * z)
+    return _kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, x.shape, sigma_k)
 
 
 def _padded_size(region, padding) -> tuple[int, int]:
@@ -86,10 +115,11 @@ def _target_response(size: tuple[int, int], params: KcfParams) -> np.ndarray:
     return np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma ** 2))
 
 
-def _train(patch: np.ndarray, y_hat: np.ndarray,
-           params: KcfParams) -> np.ndarray:
-    k_xx = gaussian_correlation(patch, patch, params.sigma_k)
-    return y_hat / (np.fft.fft2(k_xx) + params.lam)
+def _train(x_hat: np.ndarray, x_energy: float, y_hat: np.ndarray,
+           shape: tuple[int, int], params: KcfParams) -> np.ndarray:
+    """Dual coefficients of the ridge regression on patch x, rfft2 domain."""
+    k_xx = _kernel(x_hat, x_hat, 2.0 * x_energy, shape, params.sigma_k)
+    return y_hat / (np.fft.rfft2(k_xx) + params.lam)
 
 
 def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
@@ -102,11 +132,12 @@ def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
         raise ValueError("padded region area below 16 px")
     size = _padded_size(region, params.padding)
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
-    y = _target_response(size, params)
-    y_hat = np.fft.fft2(y)
+    y_hat = np.fft.rfft2(_target_response(size, params))
     template = _preprocess(_extract(frame, region, size), window)
-    alpha_hat = _train(template, y_hat, params)
-    return KcfState(template=template, alpha_hat=alpha_hat,
+    template_hat = np.fft.rfft2(template)
+    alpha_hat = _train(template_hat, np.sum(template * template), y_hat,
+                       size, params)
+    return KcfState(template_hat=template_hat, alpha_hat=alpha_hat,
                     region=tuple(float(v) for v in region),
                     window=window, y_hat=y_hat, params=params)
 
@@ -122,13 +153,17 @@ def kcf_update(state: KcfState,
     The response map is evaluated at the previous region; the argmax
     displacement (circular shifts unwrapped to [-N/2, N/2)) moves the region,
     after which the filter is retrained there and blended with rate
-    ``interp`` (interp=0 keeps the initial model unchanged).
+    ``interp`` (interp=0 keeps the initial model unchanged). The blend runs
+    on the spectra, which equals the spectrum of the blended template.
     """
     p = state.params
-    size = state.template.shape
+    size = state.window.shape
     probe = _preprocess(_extract(frame, state.region, size), state.window)
-    k_zx = gaussian_correlation(probe, state.template, p.sigma_k)
-    response = np.fft.ifft2(np.fft.fft2(k_zx) * state.alpha_hat).real
+    probe_hat = np.fft.rfft2(probe)
+    probe_energy = np.sum(probe * probe)
+    energy = probe_energy + _energy(state.template_hat, size[1])
+    k_zx = _kernel(probe_hat, state.template_hat, energy, size, p.sigma_k)
+    response = np.fft.irfft2(np.fft.rfft2(k_zx) * state.alpha_hat, s=size)
     peak = np.unravel_index(int(np.argmax(response)), response.shape)
     dy = _unwrap(peak[0], size[0])
     dx = _unwrap(peak[1], size[1])
@@ -138,9 +173,18 @@ def kcf_update(state: KcfState,
     new_region = (cx + dx, cy + dy, h, w)
     new_state = replace(state, region=new_region)
     if p.interp > 0.0:
-        fresh = _preprocess(_extract(frame, new_region, size), state.window)
-        template = (1 - p.interp) * state.template + p.interp * fresh
+        if dx or dy:
+            fresh = _preprocess(_extract(frame, new_region, size),
+                                state.window)
+            fresh_hat = np.fft.rfft2(fresh)
+            fresh_energy = np.sum(fresh * fresh)
+        else:  # the region did not move: the probe is the training patch
+            fresh_hat, fresh_energy = probe_hat, probe_energy
+        template_hat = ((1 - p.interp) * state.template_hat
+                        + p.interp * fresh_hat)
         alpha_hat = ((1 - p.interp) * state.alpha_hat
-                     + p.interp * _train(fresh, state.y_hat, p))
-        new_state = replace(new_state, template=template, alpha_hat=alpha_hat)
+                     + p.interp * _train(fresh_hat, fresh_energy,
+                                         state.y_hat, size, p))
+        new_state = replace(new_state, template_hat=template_hat,
+                            alpha_hat=alpha_hat)
     return new_state, TrackResult(region=new_region, score=score)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from blinkwild import cli, dataset
+from blinkwild import cli, dataset, pipeline
 
 
 def run(args):
@@ -157,3 +157,44 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert run(["train", "--manifest", tmp_path / "missing.tsv",
                 "--model", tmp_path / "m.bin"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
+                                      monkeypatch):
+    man = dataset.load_manifest(str(small_dataset / "manifest.tsv"))
+    entries = man.split("test")[:2]
+    manifest = tmp_path / "two.tsv"
+    dataset.write_manifest(str(manifest), entries)
+    calls = []
+    track_eyes = pipeline.track_eyes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return track_eyes(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "track_eyes", counting)
+    assert run(["verify", "--manifest", manifest, "--model", small_model,
+                "--out", tmp_path / "run"]) == 0
+    assert len(calls) == len(entries) == 2
+
+
+@pytest.mark.parametrize("rows, names", [
+    ("clip,eye,label,confidence,lost\nno_such_clip,left,blink,0.9,0\n",
+     [":2:", "no_such_clip"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
+     "{clip},middle,blink,0.9,0\n", [":3:", "middle"]),
+    ("clip,eye,label\n{clip},left,blink\n", ["confidence"]),
+])
+def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
+                                                capsys, rows, names):
+    man = dataset.load_manifest(str(small_dataset / "manifest.tsv"))
+    preds = tmp_path / "preds.csv"
+    preds.write_text(rows.format(clip=man.entries[0].source_id))
+    assert run(["eval", "--predictions", preds, "--manifest",
+                small_dataset / "manifest.tsv",
+                "--out", tmp_path / "rescore"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {preds}")
+    for name in names:
+        assert name in err[0]

@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from blinkwild import mslstm
-from blinkwild.errors import InvalidDatasetError
+from blinkwild.errors import InvalidDatasetError, ModelFormatError
 from conftest import max_rel_grad_err, tiny_model
 
 
@@ -313,3 +314,46 @@ def test_model_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 40)
     with pytest.raises(ValueError):
         mslstm.load_model(str(path))
+
+
+def _saved_model_bytes(tmp_path):
+    path = tmp_path / "m.bin"
+    mslstm.save_model(str(path), tiny_model(input_dim=6, hidden=3, seed=9))
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [10, 24, 100, -8, -1])
+def test_model_truncated_rejected(tmp_path, cut):
+    path, data = _saved_model_bytes(tmp_path)
+    path.write_bytes(data[:cut])
+    with pytest.raises(ModelFormatError, match=str(path)):
+        mslstm.load_model(str(path))
+
+
+def test_model_trailing_bytes_rejected(tmp_path):
+    path, data = _saved_model_bytes(tmp_path)
+    path.write_bytes(data + b"\0" * 8)
+    with pytest.raises(ModelFormatError, match=str(path)):
+        mslstm.load_model(str(path))
+
+
+# header fields: layers, scales, hidden, input_dim, margin; all but the
+# margin size the arrays, so only those can be oversized
+@pytest.mark.parametrize("field, value", [(f, 0) for f in range(5)]
+                         + [(f, 2 ** 32 - 1) for f in range(4)])
+def test_model_bad_header_field_rejected(tmp_path, field, value):
+    path, data = _saved_model_bytes(tmp_path)
+    dims = list(struct.unpack("<5I", data[4:24]))
+    dims[field] = value
+    path.write_bytes(data[:4] + struct.pack("<5I", *dims) + data[24:])
+    with pytest.raises(ModelFormatError, match=str(path)):
+        mslstm.load_model(str(path))
+
+
+def test_predict_rejects_non_finite(rng):
+    model = tiny_model(input_dim=6, hidden=3)
+    seq = rng.normal(size=(5, 6))
+    for bad in (np.nan, np.inf):
+        seq[2, 3] = bad
+        with pytest.raises(ValueError):
+            mslstm.predict(model, seq)

@@ -3,6 +3,7 @@ import pytest
 
 from blinkwild import dataset, mslstm, pipeline
 from conftest import tiny_model
+from test_tracker import smooth_image
 
 
 def reference_nms(proposals, iou_thresh):
@@ -96,6 +97,51 @@ def test_lost_from_start():
     streams = pipeline.track_eyes(clip.frames, absent)
     for stream in streams.values():
         assert stream.lost_from == 0
+
+
+def leaving_frames(n=16):
+    """Content sliding left 3 px per frame, and a locator that finds the
+    eyes in frame 0 only: the left track (x = 20) leaves the frame at
+    frame 7, the right one (x = 50) would at frame 17."""
+    base = smooth_image(np.random.default_rng(0), (96, 96))
+    frames = [np.roll(base, -3 * t, axis=1) for t in range(n)]
+    eyes = (dataset.EyeCenter(20.0, 48.0), dataset.EyeCenter(50.0, 48.0),
+            (5, 30, 80, 40))
+    return frames, lambda frame, i: eyes if i == 0 else None
+
+
+def test_track_lost_mid_stream_ends_track():
+    frames, locate = leaving_frames()
+    streams = pipeline.track_eyes(frames, locate)
+    left, right = streams["left"], streams["right"]
+    assert left.lost_from == 7
+    assert len(left.boxes) == len(left.scores) == len(frames)
+    assert all(b is not None for b in left.boxes[:7])
+    assert left.boxes[7:] == [None] * (len(frames) - 7)
+    assert left.boxes[6][0] == 2.0  # followed the content to the edge
+    assert right.lost_from is None
+    assert all(b is not None for b in right.boxes)
+
+
+def test_verify_mid_stream_loss_is_lost():
+    frames, locate = leaving_frames()
+    model = tiny_model(input_dim=118, hidden=4)
+    verdicts = pipeline.verify_streams(frames,
+                                       pipeline.track_eyes(frames, locate),
+                                       model)
+    assert verdicts["left"] == pipeline.EyeVerdict("nonblink", 0.0, True)
+    assert not verdicts["right"].lost
+
+
+def test_detect_scores_only_tracked_windows(monkeypatch):
+    frames, locate = leaving_frames()
+    calls = []
+    monkeypatch.setattr(pipeline.mslstm, "predict",
+                        lambda model, seq: calls.append(len(seq)) or (0, 0.0))
+    model = tiny_model(input_dim=118, hidden=4)
+    assert pipeline.detect_stream(frames, locate, model) == []
+    # left: lost at 7, no whole window; right: starts 0..6 of 16 frames
+    assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------

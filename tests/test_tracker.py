@@ -156,13 +156,88 @@ def test_score_monotone_in_noise(rng):
     assert scores[0] >= scores[1] >= scores[2]
 
 
-def test_response_map_is_real(rng):
-    frame = smooth_image(rng)
-    state = tracker.kcf_init(frame, (48.0, 48.0, 20.0, 20.0))
-    size = state.template.shape
-    patch = tracker._preprocess(
-        tracker._extract(frame, state.region, size), state.window)
-    k = tracker.gaussian_correlation(patch, state.template,
-                                     state.params.sigma_k)
-    response = np.fft.ifft2(np.fft.fft2(k) * state.alpha_hat)
+# ---------------------------------------------------------------------------
+# Fourier-domain model vs the spatial-template reference
+
+
+def reference_correlation(x, z, sigma_k):
+    """Kernel map through full complex FFTs of both patches."""
+    cross = np.fft.ifft2(np.fft.fft2(x) * np.conj(np.fft.fft2(z))).real
+    d = (np.sum(x * x) + np.sum(z * z) - 2.0 * cross) / x.size
+    return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
+
+
+def reference_init(frame, region, params):
+    """KCF that keeps a spatial template and complex-FFT alpha_hat."""
+    size = tracker._padded_size(region, params.padding)
+    window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
+    y_hat = np.fft.fft2(tracker._target_response(size, params))
+    template = tracker._preprocess(tracker._extract(frame, region, size),
+                                   window)
+    k_xx = reference_correlation(template, template, params.sigma_k)
+    alpha_hat = y_hat / (np.fft.fft2(k_xx) + params.lam)
+    return dict(template=template, alpha_hat=alpha_hat, region=region,
+                window=window, y_hat=y_hat, params=params)
+
+
+def reference_update(state, frame):
+    p = state["params"]
+    size = state["template"].shape
+    probe = tracker._preprocess(
+        tracker._extract(frame, state["region"], size), state["window"])
+    k_zx = reference_correlation(probe, state["template"], p.sigma_k)
+    response = np.fft.ifft2(np.fft.fft2(k_zx) * state["alpha_hat"])
     assert np.max(np.abs(response.imag)) < 1e-9
+    response = response.real
+    peak = np.unravel_index(int(np.argmax(response)), response.shape)
+    dy = tracker._unwrap(peak[0], size[0])
+    dx = tracker._unwrap(peak[1], size[1])
+    cx, cy, h, w = state["region"]
+    region = (cx + dx, cy + dy, h, w)
+    state = dict(state, region=region)
+    if p.interp > 0.0:
+        fresh = tracker._preprocess(tracker._extract(frame, region, size),
+                                    state["window"])
+        k_xx = reference_correlation(fresh, fresh, p.sigma_k)
+        alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + p.lam)
+        state["template"] = ((1 - p.interp) * state["template"]
+                             + p.interp * fresh)
+        state["alpha_hat"] = ((1 - p.interp) * state["alpha_hat"]
+                              + p.interp * alpha_fresh)
+    return state, region, float(response[peak])
+
+
+def test_spectral_model_matches_spatial_reference(rng):
+    base = smooth_image(rng, (128, 128))
+    params = tracker.KcfParams()
+    assert params.interp > 0.0
+    thresh = 0.25
+    for region in [(64.0, 64.0, 20.0, 20.0), (60.0, 70.0, 15.0, 17.0)]:
+        fast = tracker.kcf_init(base, region, params)
+        ref = reference_init(base, region, params)
+        total = np.array([0, 0])
+        fast_relocs, ref_relocs = [], []
+        for t in range(40):
+            if t % 13 == 12:
+                frame = rng.integers(0, 256, size=base.shape).astype(np.uint8)
+            else:
+                total = np.clip(total + rng.integers(-4, 5, size=2), -25, 25)
+                frame = np.roll(base, (total[0], total[1]), axis=(0, 1))
+            fast, result = tracker.kcf_update(fast, frame)
+            ref, ref_region, ref_score = reference_update(ref, frame)
+            assert result.region == ref_region
+            assert abs(result.score - ref_score) < 1e-9
+            if result.score < thresh:
+                fast_relocs.append(t)
+            if ref_score < thresh:
+                ref_relocs.append(t)
+                # re-localize both at the true target position
+                fresh = (region[0] + total[1], region[1] + total[0],
+                         region[2], region[3])
+                fast = tracker.kcf_init(frame, fresh, params)
+                ref = reference_init(frame, fresh, params)
+        assert fast_relocs == ref_relocs
+        assert ref_relocs, "noise frames must trigger re-localization"
+        n = ref["template"].size
+        assert np.max(np.abs(fast.template_hat
+                             - np.fft.rfft2(ref["template"]))) < 1e-9 * n

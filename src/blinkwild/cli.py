@@ -88,13 +88,15 @@ def cmd_synth(args) -> int:
         split, label, seed = spec
         return split, label, seed, dataset.synth_clip(seed, label, args.length)
 
+    # each clip is saved as it arrives (saving is far faster than
+    # rendering), so memory holds a few clips, not the whole dataset
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        built = list(pool.map(build, specs))
-    for split, label, seed, clip in built:
-        name = f"{split}_{label}_{seed}"
-        clip_dir = os.path.join(args.out, name)
-        dataset.save_clip(clip_dir, clip)
-        entries.append(dataset.ManifestEntry(clip_dir, label, split, name))
+        for split, label, seed, clip in pool.map(build, specs):
+            name = f"{split}_{label}_{seed}"
+            clip_dir = os.path.join(args.out, name)
+            dataset.save_clip(clip_dir, clip)
+            entries.append(dataset.ManifestEntry(clip_dir, label, split,
+                                                 name))
     manifest_path = os.path.join(args.out, "manifest.tsv")
     dataset.write_manifest(manifest_path, entries)
     print(f"wrote {len(entries)} clips and {manifest_path}")
@@ -336,16 +338,12 @@ def cmd_bench(args) -> int:
                 t0 = time.perf_counter()
                 state, result = tracker.kcf_update(state, clip.frames[t])
                 t1 = time.perf_counter()
-                box = result.region
-                eye_patch = dataset.crop_eye(
-                    clip.frames[t], dataset.EyeCenter(box[0], box[1]),
-                    (int(round(box[2])), int(round(box[3]))))
-                eye_patch = features.resize_patch(eye_patch, patch)
-                hist = features.uniform_lbp(eye_patch)
+                hist = features.frame_histograms(
+                    [clip.frames[t]], [result.region], patch)[0]
                 t2 = time.perf_counter()
                 if prev_hist is not None:
-                    step = np.concatenate([hist, hist - prev_hist])
-                    window_steps.append(step)
+                    window_steps.append(
+                        features.steps_from_histograms([prev_hist, hist])[0])
                     if len(window_steps) > 9:
                         window_steps.pop(0)
                 prev_hist = hist

@@ -133,30 +133,47 @@ def resize_patch(patch: np.ndarray, out: tuple[int, int]) -> np.ndarray:
     return top * (1 - wy) + bot * wy
 
 
+def frame_histograms(frames: list[np.ndarray],
+                     regions: list[tuple[float, float, float, float]],
+                     patch_size: tuple[int, int] = DEFAULT_PATCH_SIZE,
+                     sampling: str = "nearest") -> np.ndarray:
+    """Appearance histogram per frame, shape (len(frames), 59): each eye
+    region (cx, cy, h, w) is cropped, resized to ``patch_size`` and
+    described by its uniform LBP histogram."""
+    if len(regions) != len(frames):
+        raise ValueError("one region per frame required")
+    hists = np.empty((len(frames), N_BINS))
+    for k, (frame, (cx, cy, h, w)) in enumerate(zip(frames, regions)):
+        patch = crop_eye(frame, EyeCenter(cx, cy), (int(round(h)), int(round(w))))
+        patch = resize_patch(patch, patch_size)
+        hists[k] = uniform_lbp(patch, sampling=sampling)
+    return hists
+
+
+def steps_from_histograms(hists: np.ndarray) -> np.ndarray:
+    """Feature steps from consecutive per-frame histograms.
+
+    Returns an array of shape (len(hists) - 1, 118): step t carries the
+    appearance histogram of frame t+1 and the histogram difference between
+    frames t+1 and t.
+    """
+    hists = np.asarray(hists, dtype=np.float64)
+    if len(hists) < 2:
+        raise ValueError("need at least 2 frames")
+    steps = np.empty((hists.shape[0] - 1, FEATURE_DIM))
+    steps[:, :N_BINS] = hists[1:]
+    steps[:, N_BINS:] = hists[1:] - hists[:-1]
+    return steps
+
+
 def featurize_frames(frames: list[np.ndarray],
                      regions: list[tuple[float, float, float, float]],
                      patch_size: tuple[int, int] = DEFAULT_PATCH_SIZE,
                      sampling: str = "nearest") -> np.ndarray:
-    """Feature sequence from per-frame eye regions (cx, cy, h, w).
-
-    Returns an array of shape (len(frames) - 1, 118): step t carries the
-    appearance histogram of frame t+1 and the histogram difference between
-    frames t+1 and t.
-    """
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
-    if len(regions) != len(frames):
-        raise ValueError("one region per frame required")
-    hists = []
-    for frame, (cx, cy, h, w) in zip(frames, regions):
-        patch = crop_eye(frame, EyeCenter(cx, cy), (int(round(h)), int(round(w))))
-        patch = resize_patch(patch, patch_size)
-        hists.append(uniform_lbp(patch, sampling=sampling))
-    steps = np.empty((len(frames) - 1, FEATURE_DIM))
-    for t in range(1, len(frames)):
-        steps[t - 1, :N_BINS] = hists[t]
-        steps[t - 1, N_BINS:] = motion_feature(hists[t], hists[t - 1])
-    return steps
+    """Feature sequence from per-frame eye regions (cx, cy, h, w), shape
+    (len(frames) - 1, 118); see ``steps_from_histograms``."""
+    return steps_from_histograms(
+        frame_histograms(frames, regions, patch_size, sampling))
 
 
 def featurize_clip(clip: Clip, regions, patch_size=DEFAULT_PATCH_SIZE,

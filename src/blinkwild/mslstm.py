@@ -129,16 +129,17 @@ def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h_t, c_t
 
 
-def _forward_batch(model: MsLstmModel, x: np.ndarray):
+def _forward_batch(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
     """Run all layers over x (batch, steps, input_dim).
 
-    Returns (features (batch, T*hidden), caches) where caches hold per-layer
-    per-step values needed for BPTT.
+    Returns (features (batch, T*hidden), caches). With ``keep_cache`` the
+    caches hold the per-layer per-step values BPTT needs; without it they
+    are None, which spares inference from keeping every gate alive.
     """
     b, n, _ = x.shape
     if n < model.scales:
         raise ValueError(f"sequence length {n} shorter than T={model.scales}")
-    caches = []
+    caches = [] if keep_cache else None
     inp = x
     for params in model.layers:
         h = params.hidden
@@ -156,13 +157,14 @@ def _forward_batch(model: MsLstmModel, x: np.ndarray):
             c_new = f * c_t + i * g
             tc = np.tanh(c_new)
             h_new = o * tc
-            steps.append((xt, h_t, c_t, i, f, o, g, tc))
+            if keep_cache:
+                steps.append((xt, h_t, c_t, i, f, o, g, tc))
             h_t, c_t = h_new, c_new
             outs[:, t, :] = h_new
-        caches.append((params, steps, outs))
+        if keep_cache:
+            caches.append((params, steps, outs))
         inp = outs
-    top = caches[-1][2]
-    feats = top[:, n - model.scales:, :].reshape(b, -1)
+    feats = inp[:, n - model.scales:, :].reshape(b, -1)
     return feats, caches
 
 
@@ -209,22 +211,34 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
     return grads, dh_seq  # dh_seq is now dL/dx of the input sequence
 
 
+def _checked(model: MsLstmModel, seq, ndims: tuple[int, ...]) -> np.ndarray:
+    """``seq`` as float64, rejected unless it has one of ``ndims`` axes, the
+    model's feature dimension last, and only finite values."""
+    x = np.asarray(seq, dtype=np.float64)
+    if x.ndim not in ndims or x.shape[-1] != model.input_dim:
+        raise ValueError("sequence has wrong feature dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input sequence")
+    return x
+
+
+def _geometry(model: MsLstmModel, x: np.ndarray):
+    """Features, norms and class cosines of a (batch, steps, dim) batch."""
+    feats, _ = _forward_batch(model, x, keep_cache=False)
+    r = np.linalg.norm(feats, axis=1)
+    cos = feats @ model.head.T / np.maximum(r, 1e-300)[:, None]
+    return feats, r, cos
+
+
 def forward(model: MsLstmModel, seq: np.ndarray):
     """Classifier geometry for one sequence (steps, input_dim).
 
     Returns (feature, norm, cosines): the concatenated last-T hidden states,
     its Euclidean norm, and cos(theta_c) against each unit class vector.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[1] != model.input_dim:
-        raise ValueError("sequence has wrong feature dimension")
-    if not np.all(np.isfinite(seq)):
-        raise ValueError("non-finite input sequence")
-    feats, _ = _forward_batch(model, seq[None])
-    feat = feats[0]
-    r = float(np.linalg.norm(feat))
-    cos = model.head @ feat / max(r, 1e-300)
-    return feat, r, cos
+    x = _checked(model, seq, (2,))
+    feats, r, cos = _geometry(model, x[None])
+    return feats[0], float(r[0]), cos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +361,8 @@ def loss_and_grads(model: MsLstmModel, x: np.ndarray, labels: np.ndarray,
     Returns (loss, grads) with grads = {"layers": [{"w","u","b"}...],
     "head": array}.
     """
-    feats, caches = _forward_batch(model, np.asarray(x, dtype=np.float64))
+    feats, caches = _forward_batch(model, np.asarray(x, dtype=np.float64),
+                                   keep_cache=True)
     loss, dfeat, dhead = _head_loss_and_grads(
         model, feats, np.asarray(labels), loss_kind)
     layer_grads, _ = _backward_batch(model, caches, dfeat)
@@ -422,19 +437,25 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
     return model, history
 
 
-def predict(model: MsLstmModel, seq: np.ndarray) -> tuple[int, float]:
-    """Class label and blink-class probability for one sequence.
+def predict(model: MsLstmModel, seq: np.ndarray):
+    """Class label and blink-class probability per sequence.
 
+    A (steps, input_dim) sequence gives (int, float); a (batch, steps,
+    input_dim) batch gives (labels (batch,), blink_probs (batch,)), each row
+    scored as if alone, since every sequence starts from a zero state.
     Inference always uses the plain angular scores r*cos(theta_c); the
     margin only reshapes the training loss.
     """
-    feat, r, cos = forward(model, seq)
-    scores = r * cos
-    z = scores - scores.max()
+    x = _checked(model, seq, (2, 3))
+    _, r, cos = _geometry(model, x if x.ndim == 3 else x[None])
+    scores = r[:, None] * cos
+    z = scores - scores.max(axis=1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    label = int(np.argmax(scores))
-    return label, float(p[CLASS_BLINK])
+    p /= p.sum(axis=1, keepdims=True)
+    labels = np.argmax(scores, axis=1)
+    if x.ndim == 2:
+        return int(labels[0]), float(p[0, CLASS_BLINK])
+    return labels, p[:, CLASS_BLINK]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .errors import NoVisibleEyeError, TrackLostError
 
 EYES = ("left", "right")
 TRACK_THRESH = 0.25  # re-localization trigger on the KCF score
+# windows per predict call in detect_stream: each window copies its steps,
+# so chunks keep memory flat on long streams
+WINDOW_BATCH = 256
 
 # locator contract: (frame, frame_index) -> (left, right, face_box) or None
 EyeLocator = Callable[[np.ndarray, int],
@@ -201,13 +204,21 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
                   track_thresh: float = TRACK_THRESH) -> list[BlinkEvent]:
     """Sliding-window blink detection over an untrimmed stream.
 
-    One tracked stream per eye spans the whole video; each window position
-    is featurized from the already-tracked boxes and classified. A lost
+    One tracked stream per eye spans the whole video; its frames are
+    featurized once and every window position is sliced from those steps
+    and classified, ``WINDOW_BATCH`` windows per ``predict`` call. A lost
     track ends the eye's windows: only those fully inside ``[0, lost_from)``
-    are scored. Windows at
-    or above the confidence threshold become proposals, pruned per eye by
-    temporal NMS. Events come back sorted by start frame.
+    are scored. Windows at or above the confidence threshold become
+    proposals, pruned per eye by temporal NMS. Events come back sorted by
+    start frame. ``stride`` must be >= 1 and ``window`` must give the model
+    at least ``scales`` steps.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if window - 1 < model.scales:
+        raise ValueError(f"window must be >= {model.scales + 1} frames "
+                         f"(the model reads its last {model.scales} "
+                         f"steps), got {window}")
     n = len(frames)
     if n < window:
         raise ValueError(f"stream of {n} frames shorter than window {window}")
@@ -215,22 +226,19 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     events: list[BlinkEvent] = []
     for eye, stream in streams.items():
         tracked = n if stream.lost_from is None else stream.lost_from
-        # per-frame histograms once; windows reuse them
-        hists = []
-        for frame, (cx, cy, h, w) in zip(frames[:tracked],
-                                         stream.boxes[:tracked]):
-            patch = features.crop_eye(frame, EyeCenter(cx, cy),
-                                      (int(round(h)), int(round(w))))
-            patch = features.resize_patch(patch, patch_size)
-            hists.append(features.uniform_lbp(patch))
+        starts = np.arange(0, tracked - window + 1, stride)
         proposals = []
-        for s in range(0, tracked - window + 1, stride):
-            steps = np.empty((window - 1, features.FEATURE_DIM))
-            for t in range(1, window):
-                steps[t - 1, :features.N_BINS] = hists[s + t]
-                steps[t - 1, features.N_BINS:] = hists[s + t] - hists[s + t - 1]
-            _, conf = mslstm.predict(model, steps)
-            if conf >= conf_thresh:
-                proposals.append(BlinkEvent(s, s + window - 1, conf, eye))
+        if starts.size:
+            # window s reads steps s .. s+window-2 of the whole track
+            steps = features.steps_from_histograms(features.frame_histograms(
+                frames[:tracked], stream.boxes[:tracked], patch_size))
+            offsets = np.arange(window - 1)
+            for lo in range(0, starts.size, WINDOW_BATCH):
+                chunk = starts[lo:lo + WINDOW_BATCH]
+                _, confs = mslstm.predict(
+                    model, steps[chunk[:, None] + offsets])
+                proposals.extend(
+                    BlinkEvent(int(s), int(s) + window - 1, float(c), eye)
+                    for s, c in zip(chunk, confs) if c >= conf_thresh)
         events.extend(temporal_nms(proposals, iou_thresh))
     return sorted(events, key=lambda e: (e.start, EYES.index(e.eye)))

@@ -93,6 +93,23 @@ def test_synth_deterministic(tmp_path):
     assert _same_tree(str(tmp_path / "a"), str(tmp_path / "b"))
 
 
+def test_synth_saves_clips_while_rendering(tmp_path, monkeypatch):
+    """synth writes each clip as it arrives instead of holding them all."""
+    monkeypatch.setenv("BLINKWILD_THREADS", "1")
+    order = []
+    build, save = dataset.synth_clip, dataset.save_clip
+    monkeypatch.setattr(dataset, "synth_clip",
+                        lambda *a: order.append("build") or build(*a))
+    monkeypatch.setattr(dataset, "save_clip",
+                        lambda *a: order.append("save") or save(*a))
+    assert run(["synth", "--out", tmp_path, "--train-blink", 4,
+                "--train-nonblink", 4, "--test-blink", 1,
+                "--test-nonblink", 1]) == 0
+    assert order.count("build") == order.count("save") == 10
+    last_build = len(order) - 1 - order[::-1].index("build")
+    assert order.index("save") < last_build
+
+
 def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", small_dataset / "manifest.tsv",
                 "--out", tmp_path / "p1"]) == 0
@@ -140,6 +157,20 @@ def test_detect_writes_events(small_model, tmp_path):
                 "--out", out]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "eye,start,end,confidence"
+
+
+@pytest.mark.parametrize("flag,value", [("--stride", 0), ("--stride", -1),
+                                        ("--window", 0)])
+def test_detect_bad_window_argument_is_one_line_error(small_model, tmp_path,
+                                                      capsys, flag, value):
+    clip, _ = dataset.synth_stream(1, 40, blink_center=20)
+    stream_dir = str(tmp_path / "stream")
+    dataset.save_clip(stream_dir, clip)
+    assert run(["detect", "--frames", stream_dir, "--model", small_model,
+                "--out", tmp_path / "events.csv", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag[2:] in err
 
 
 def test_bench_json(small_model, tmp_path):

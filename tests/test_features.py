@@ -207,6 +207,27 @@ def test_featurize_column_layout(rng):
     assert np.allclose(steps[0, 59:], h1 - h0)
 
 
+def test_frame_histograms_match_per_frame_crops():
+    clip = dataset.synth_clip(3, dataset.LABEL_BLINK, 6)
+    regions = _regions_for(clip)
+    hists = features.frame_histograms(clip.frames, regions)
+    assert hists.shape == (6, 59)
+    for frame, (cx, cy, h, w), hist in zip(clip.frames, regions, hists):
+        patch = dataset.crop_eye(frame, dataset.EyeCenter(cx, cy),
+                                 (int(round(h)), int(round(w))))
+        want = features.uniform_lbp(features.resize_patch(patch, (24, 24)))
+        assert np.array_equal(hist, want)
+    steps = features.steps_from_histograms(hists)
+    assert np.array_equal(steps[:, :59], hists[1:])
+    assert np.array_equal(steps[:, 59:], hists[1:] - hists[:-1])
+    assert np.array_equal(features.featurize_frames(clip.frames, regions),
+                          steps)
+    with pytest.raises(ValueError):
+        features.steps_from_histograms(hists[:1])
+    with pytest.raises(ValueError):
+        features.frame_histograms(clip.frames, regions[:-1])
+
+
 def test_featurize_order_sensitive():
     clip = dataset.synth_clip(4, dataset.LABEL_BLINK, 10)
     regions = _regions_for(clip)

@@ -357,3 +357,36 @@ def test_predict_rejects_non_finite(rng):
         seq[2, 3] = bad
         with pytest.raises(ValueError):
             mslstm.predict(model, seq)
+
+
+def test_predict_batch_matches_per_sequence(rng):
+    model = tiny_model(input_dim=6, hidden=3)
+    batch = rng.normal(size=(13, 5, 6))
+    labels, confs = mslstm.predict(model, batch)
+    assert labels.shape == confs.shape == (13,)
+    assert set(labels.tolist()) == {0, 1}
+    for seq, label, conf in zip(batch, labels, confs):
+        one_label, one_conf = mslstm.predict(model, seq)
+        assert type(one_label) is int and type(one_conf) is float
+        assert one_label == label
+        assert abs(one_conf - conf) <= 1e-12
+
+
+def test_predict_batch_rejects_bad_input(rng):
+    model = tiny_model(input_dim=6, hidden=3)
+    batch = rng.normal(size=(4, 5, 6))
+    batch[2, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mslstm.predict(model, batch)
+    for shape in ((4, 5, 7), (6,), (2, 4, 5, 6)):
+        with pytest.raises(ValueError, match="dimension"):
+            mslstm.predict(model, rng.normal(size=shape))
+
+
+def test_forward_without_cache_matches_training_forward(rng):
+    model = tiny_model(input_dim=6, hidden=3)
+    x = rng.normal(size=(7, 5, 6))
+    feats, caches = mslstm._forward_batch(model, x, keep_cache=False)
+    assert caches is None
+    want, _ = mslstm._forward_batch(model, x, keep_cache=True)
+    assert np.array_equal(feats, want)

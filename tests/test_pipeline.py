@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blinkwild import dataset, mslstm, pipeline
+from blinkwild import dataset, features, mslstm, pipeline
 from conftest import tiny_model
 from test_tracker import smooth_image
 
@@ -135,13 +135,11 @@ def test_verify_mid_stream_loss_is_lost():
 
 def test_detect_scores_only_tracked_windows(monkeypatch):
     frames, locate = leaving_frames()
-    calls = []
-    monkeypatch.setattr(pipeline.mslstm, "predict",
-                        lambda model, seq: calls.append(len(seq)) or (0, 0.0))
+    calls = _stub_predict(monkeypatch)
     model = tiny_model(input_dim=118, hidden=4)
     assert pipeline.detect_stream(frames, locate, model) == []
-    # left: lost at 7, no whole window; right: starts 0..6 of 16 frames
-    assert len(calls) == 7
+    # left: lost at 7, no whole window, no call; right: starts 0..6 of 16
+    assert calls == [(7, 9, 118)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +247,127 @@ def test_nms_survivors_disjoint(rng):
 # detect_stream
 
 
+def _stub_predict(monkeypatch):
+    """Score every window 0.0; returns the batch shapes predict was given."""
+    calls = []
+
+    def stub(model, batch):
+        calls.append(batch.shape)
+        return np.zeros(len(batch), dtype=int), np.zeros(len(batch))
+
+    monkeypatch.setattr(pipeline.mslstm, "predict", stub)
+    return calls
+
+
+def reference_detect(frames, locate, model, window=10, stride=1,
+                     conf_thresh=0.5, iou_thresh=0.33):
+    """Per-window oracle: each window featurized and predicted alone."""
+    events = []
+    for eye, stream in pipeline.track_eyes(frames, locate).items():
+        tracked = (len(frames) if stream.lost_from is None
+                   else stream.lost_from)
+        proposals = []
+        for s in range(0, tracked - window + 1, stride):
+            seq = features.featurize_frames(frames[s:s + window],
+                                            stream.boxes[s:s + window])
+            _, conf = mslstm.predict(model, seq)
+            if conf >= conf_thresh:
+                proposals.append(_event(s, s + window - 1, conf, eye))
+        events.extend(pipeline.temporal_nms(proposals, iou_thresh))
+    return sorted(events, key=lambda e: (e.start, pipeline.EYES.index(e.eye)))
+
+
 def test_detect_window_count(monkeypatch):
     clip, _ = dataset.synth_stream(0, 50, blink_center=None)
-    calls = []
-    monkeypatch.setattr(pipeline.mslstm, "predict",
-                        lambda model, seq: calls.append(len(seq)) or (0, 0.0))
+    calls = _stub_predict(monkeypatch)
     model = tiny_model(input_dim=118, hidden=4)
     events = pipeline.detect_stream(clip.frames,
                                     pipeline.annotation_locator(clip), model)
     assert events == []
-    assert len(calls) == 2 * 41  # both eyes, floor((50-10)/1)+1 each
-    assert all(n == 9 for n in calls)
+    # both eyes, floor((50-10)/1)+1 windows of 9 steps each, one call each
+    assert calls == [(41, 9, 118)] * 2
 
 
 def test_detect_stride(monkeypatch):
     clip, _ = dataset.synth_stream(0, 50, blink_center=None)
-    calls = []
-    monkeypatch.setattr(pipeline.mslstm, "predict",
-                        lambda model, seq: calls.append(1) or (0, 0.0))
+    calls = _stub_predict(monkeypatch)
     model = tiny_model(input_dim=118, hidden=4)
     pipeline.detect_stream(clip.frames, pipeline.annotation_locator(clip),
                            model, stride=5)
-    assert len(calls) == 2 * 9  # floor((50-10)/5)+1 per eye
+    assert calls == [(9, 9, 118)] * 2  # floor((50-10)/5)+1 per eye
+
+
+@pytest.mark.parametrize("stride,thresholds", [
+    (1, (0.0, 1.0)),  # every window survives: all confidences compared
+    (3, (0.0, 1.0)),
+    (1, (None, 0.33)),  # None: the median confidence, so NMS has work
+])
+def test_detect_batches_match_per_window_reference(monkeypatch, stride,
+                                                   thresholds):
+    monkeypatch.setattr(pipeline, "WINDOW_BATCH", 7)
+    conf_thresh, iou_thresh = thresholds
+    clip, _ = dataset.synth_stream(1, 40, blink_center=20)
+    locate = pipeline.annotation_locator(clip)
+    model = tiny_model(input_dim=118, hidden=4)
+    if conf_thresh is None:
+        conf_thresh = float(np.median([
+            e.confidence for e in reference_detect(
+                clip.frames, locate, model, conf_thresh=0.0, iou_thresh=1.0)]))
+    got = pipeline.detect_stream(clip.frames, locate, model, stride=stride,
+                                 conf_thresh=conf_thresh,
+                                 iou_thresh=iou_thresh)
+    want = reference_detect(clip.frames, locate, model, stride=stride,
+                            conf_thresh=conf_thresh, iou_thresh=iou_thresh)
+    assert got
+    assert ([(e.eye, e.start, e.end) for e in got]
+            == [(e.eye, e.start, e.end) for e in want])
+    assert all(type(e.confidence) is float for e in got)
+    assert max(abs(a.confidence - b.confidence)
+               for a, b in zip(got, want)) <= 1e-12
+
+
+def _stream_and_locator(n):
+    clip, _ = dataset.synth_stream(0, n, blink_center=None)
+    return clip.frames, pipeline.annotation_locator(clip)
+
+
+@pytest.mark.parametrize("frames_locate,stride,want", [
+    # 41 windows per eye in chunks of 7
+    (lambda: _stream_and_locator(50), 1, [7, 7, 7, 7, 7, 6] * 2),
+    (lambda: _stream_and_locator(50), 5, [7, 2] * 2),
+    # left lost before its first whole window: no call for it
+    (leaving_frames, 1, [7]),
+])
+def test_detect_one_predict_call_per_chunk(monkeypatch, frames_locate,
+                                           stride, want):
+    monkeypatch.setattr(pipeline, "WINDOW_BATCH", 7)
+    sizes = []
+    real = mslstm.predict
+
+    def counting(model, batch):
+        sizes.append(len(batch))
+        return real(model, batch)
+
+    monkeypatch.setattr(pipeline.mslstm, "predict", counting)
+    frames, locate = frames_locate()
+    pipeline.detect_stream(frames, locate,
+                           tiny_model(input_dim=118, hidden=4), stride=stride)
+    assert sizes == want
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"stride": 0}, "stride"),
+    ({"stride": -1}, "stride"),
+    ({"window": 0}, "window"),
+    ({"window": 2}, "window"),  # one step, but the model reads the last 2
+])
+def test_detect_rejects_bad_window_arguments(kwargs, name):
+    clip, _ = dataset.synth_stream(1, 40, blink_center=20)
+    model = tiny_model(input_dim=118, hidden=4, scales=2)
+    with pytest.raises(ValueError, match=name):
+        pipeline.detect_stream(clip.frames,
+                               pipeline.annotation_locator(clip), model,
+                               **kwargs)
 
 
 def test_detect_impossible_threshold_returns_nothing():

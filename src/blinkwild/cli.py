@@ -88,15 +88,13 @@ def cmd_synth(args) -> int:
         split, label, seed = spec
         return split, label, seed, dataset.synth_clip(seed, label, args.length)
 
-    # each clip is saved as it arrives (saving is far faster than
-    # rendering), so memory holds a few clips, not the whole dataset
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for split, label, seed, clip in pool.map(build, specs):
-            name = f"{split}_{label}_{seed}"
-            clip_dir = os.path.join(args.out, name)
-            dataset.save_clip(clip_dir, clip)
-            entries.append(dataset.ManifestEntry(clip_dir, label, split,
-                                                 name))
+        built = list(pool.map(build, specs))
+    for split, label, seed, clip in built:
+        name = f"{split}_{label}_{seed}"
+        clip_dir = os.path.join(args.out, name)
+        dataset.save_clip(clip_dir, clip)
+        entries.append(dataset.ManifestEntry(clip_dir, label, split, name))
     manifest_path = os.path.join(args.out, "manifest.tsv")
     dataset.write_manifest(manifest_path, entries)
     print(f"wrote {len(entries)} clips and {manifest_path}")

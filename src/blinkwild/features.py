@@ -162,7 +162,7 @@ def steps_from_histograms(hists: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 2 frames")
     steps = np.empty((hists.shape[0] - 1, FEATURE_DIM))
     steps[:, :N_BINS] = hists[1:]
-    steps[:, N_BINS:] = hists[1:] - hists[:-1]
+    steps[:, N_BINS:] = motion_feature(hists[1:], hists[:-1])
     return steps
 
 

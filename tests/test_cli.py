@@ -93,23 +93,6 @@ def test_synth_deterministic(tmp_path):
     assert _same_tree(str(tmp_path / "a"), str(tmp_path / "b"))
 
 
-def test_synth_saves_clips_while_rendering(tmp_path, monkeypatch):
-    """synth writes each clip as it arrives instead of holding them all."""
-    monkeypatch.setenv("BLINKWILD_THREADS", "1")
-    order = []
-    build, save = dataset.synth_clip, dataset.save_clip
-    monkeypatch.setattr(dataset, "synth_clip",
-                        lambda *a: order.append("build") or build(*a))
-    monkeypatch.setattr(dataset, "save_clip",
-                        lambda *a: order.append("save") or save(*a))
-    assert run(["synth", "--out", tmp_path, "--train-blink", 4,
-                "--train-nonblink", 4, "--test-blink", 1,
-                "--test-nonblink", 1]) == 0
-    assert order.count("build") == order.count("save") == 10
-    last_build = len(order) - 1 - order[::-1].index("build")
-    assert order.index("save") < last_build
-
-
 def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", small_dataset / "manifest.tsv",
                 "--out", tmp_path / "p1"]) == 0

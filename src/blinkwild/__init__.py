@@ -8,7 +8,7 @@ from .dataset import (Clip, EyeCenter, Manifest, crop_eye, eye_region,
 from .features import (feature_correlation, featurize_clip, motion_feature,
                        resize_patch, uniform_lbp)
 from .mslstm import (MsLstmModel, TrainConfig, asoftmax_loss, forward,
-                     init_model, load_model, lstm_cell, predict, save_model,
+                     init_model, load_model, predict, save_model,
                      softmax_loss, train)
 from .pipeline import (BlinkEvent, annotation_locator, detect_stream,
                        temporal_nms, track_eyes, verify_clip)

@@ -116,9 +116,13 @@ def crop_eye(frame: np.ndarray, center: EyeCenter,
     h, w = int(size[0]), int(size[1])
     if h < 1 or w < 1:
         raise ValueError("crop size must be positive")
-    cy, cx = int(round(center.y)), int(round(center.x))
-    rows = np.clip(cy - h // 2 + np.arange(h), 0, frame.shape[0] - 1)
-    cols = np.clip(cx - w // 2 + np.arange(w), 0, frame.shape[1] - 1)
+    y0 = int(round(center.y)) - h // 2
+    x0 = int(round(center.x)) - w // 2
+    if (0 <= y0 and y0 + h <= frame.shape[0]
+            and 0 <= x0 and x0 + w <= frame.shape[1]):
+        return frame[y0:y0 + h, x0:x0 + w].copy()  # inside: no index arrays
+    rows = np.clip(y0 + np.arange(h), 0, frame.shape[0] - 1)
+    cols = np.clip(x0 + np.arange(w), 0, frame.shape[1] - 1)
     return frame[np.ix_(rows, cols)]
 
 

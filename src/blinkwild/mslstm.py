@@ -104,37 +104,21 @@ def init_model(input_dim: int = 118, hidden: int = 64, layers: int = 2,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def lstm_cell(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              params: LstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step. Accepts (dim,) vectors or (batch, dim) matrices."""
-    if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(h_prev))
-            and np.all(np.isfinite(c_prev))):
-        raise ValueError("non-finite input to lstm_cell")
-    h = params.hidden
-    a = x_t @ params.w + h_prev @ params.u + params.b
-    i = _sigmoid(a[..., 0:h])
-    f = _sigmoid(a[..., h:2 * h])
-    o = _sigmoid(a[..., 2 * h:3 * h])
-    g = np.tanh(a[..., 3 * h:4 * h])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
+    """Run every layer over x (batch, steps, input_dim) from a zero state.
 
-
-def _forward_batch(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
-    """Run all layers over x (batch, steps, input_dim).
-
-    Returns (features (batch, T*hidden), caches). With ``keep_cache`` the
-    caches hold the per-layer per-step values BPTT needs; without it they
-    are None, which spares inference from keeping every gate alive.
+    This is the one LSTM core: ``forward``, ``predict`` and
+    ``loss_and_grads`` all call it. Returns (features (batch, T*hidden),
+    caches). With ``keep_cache`` the caches hold, per layer, its parameters,
+    input and output sequences and the per-step (c_prev, i, f, o, g,
+    tanh(c)) that BPTT needs; without it they are None, which spares
+    inference from keeping every gate alive.
     """
     b, n, _ = x.shape
     if n < model.scales:
@@ -150,26 +134,29 @@ def _forward_batch(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
         for t in range(n):
             xt = inp[:, t, :]
             a = xt @ params.w + h_t @ params.u + params.b
-            i = _sigmoid(a[:, 0:h])
-            f = _sigmoid(a[:, h:2 * h])
-            o = _sigmoid(a[:, 2 * h:3 * h])
-            g = np.tanh(a[:, 3 * h:4 * h])
+            ifo = _sigmoid(a[:, :3 * h])
+            i, f, o = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
+            g = np.tanh(a[:, 3 * h:])
             c_new = f * c_t + i * g
             tc = np.tanh(c_new)
             h_new = o * tc
             if keep_cache:
-                steps.append((xt, h_t, c_t, i, f, o, g, tc))
+                steps.append((c_t, i, f, o, g, tc))
             h_t, c_t = h_new, c_new
             outs[:, t, :] = h_new
         if keep_cache:
-            caches.append((params, steps, outs))
+            caches.append((params, inp, outs, steps))
         inp = outs
     feats = inp[:, n - model.scales:, :].reshape(b, -1)
     return feats, caches
 
 
 def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
-    """BPTT from the gradient of the concatenated feature."""
+    """BPTT from the gradient of the concatenated feature.
+
+    Only the recurrence runs step by step. The weight gradients, and the
+    gradient handed to the layer below, are one GEMM each over all steps.
+    """
     b = dfeat.shape[0]
     n = caches[0][2].shape[1]
     h_top = model.layers[-1].hidden
@@ -181,16 +168,13 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
     dh_seq[:, n - t_scales:, :] = dfeat.reshape(b, t_scales, h_top)
 
     for layer_idx in range(len(model.layers) - 1, -1, -1):
-        params, steps, _ = caches[layer_idx]
+        params, inp, outs, steps = caches[layer_idx]
         hd = params.hidden
-        dW = np.zeros_like(params.w)
-        dU = np.zeros_like(params.u)
-        db = np.zeros_like(params.b)
-        dx_seq = np.empty((b, n, params.w.shape[0]))
+        da_seq = np.empty((b, n, GATES * hd))
         dh_next = np.zeros((b, hd))
         dc_next = np.zeros((b, hd))
         for t in range(n - 1, -1, -1):
-            xt, h_prev, c_prev, i, f, o, g, tc = steps[t]
+            c_prev, i, f, o, g, tc = steps[t]
             dh = dh_seq[:, t, :] + dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
@@ -198,17 +182,22 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
             dg = dc * i
             df = dc * c_prev
             dc_next = dc * f
-            da = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                                 do * o * (1 - o), dg * (1 - g * g)], axis=1)
-            dW += xt.T @ da
-            dU += h_prev.T @ da
-            db += da.sum(axis=0)
-            dx_seq[:, t, :] = da @ params.w.T
+            da = da_seq[:, t, :]
+            da[:, :hd] = di * i * (1 - i)
+            da[:, hd:2 * hd] = df * f * (1 - f)
+            da[:, 2 * hd:3 * hd] = do * o * (1 - o)
+            da[:, 3 * hd:] = dg * (1 - g * g)
             dh_next = da @ params.u.T
-        grads.append({"w": dW, "u": dU, "b": db})
-        dh_seq = dx_seq  # becomes dh of the layer below
+        da_flat = da_seq.reshape(b * n, -1)
+        # h_prev is zero at t = 0, so that step adds nothing to dU
+        dU = (outs[:, :-1].reshape(-1, hd).T
+              @ da_seq[:, 1:].reshape(-1, GATES * hd))
+        grads.append({"w": inp.reshape(b * n, -1).T @ da_flat, "u": dU,
+                      "b": da_flat.sum(axis=0)})
+        if layer_idx:  # dh of the layer below
+            dh_seq = (da_flat @ params.w.T).reshape(b, n, -1)
     grads.reverse()
-    return grads, dh_seq  # dh_seq is now dL/dx of the input sequence
+    return grads
 
 
 def _checked(model: MsLstmModel, seq, ndims: tuple[int, ...]) -> np.ndarray:
@@ -224,7 +213,7 @@ def _checked(model: MsLstmModel, seq, ndims: tuple[int, ...]) -> np.ndarray:
 
 def _geometry(model: MsLstmModel, x: np.ndarray):
     """Features, norms and class cosines of a (batch, steps, dim) batch."""
-    feats, _ = _forward_batch(model, x, keep_cache=False)
+    feats, _ = _run_layers(model, x, keep_cache=False)
     r = np.linalg.norm(feats, axis=1)
     cos = feats @ model.head.T / np.maximum(r, 1e-300)[:, None]
     return feats, r, cos
@@ -275,22 +264,26 @@ def _log_sum_exp2(a, b):
     return m + np.log(np.exp(a - m) + np.exp(b - m))
 
 
-def asoftmax_loss(r: float, cos_y: float, cos_other: float, m: int):
-    """Angular-margin cross-entropy for one sample.
+def asoftmax_loss(r, cos_y, cos_other, m: int):
+    """Angular-margin cross-entropy per sample.
 
     loss = -log softmax over scores (r*psi(theta_y), r*cos(theta_other)).
+    Takes scalars, giving floats, or equal-shape arrays, giving arrays.
     Returns (loss, (d/dr, d/dcos_y, d/dcos_other)).
     """
     val, dval = psi(cos_y, m)
     fy = r * val
     fo = r * cos_other
-    loss = _log_sum_exp2(fy, fo) - fy
-    p_other = float(np.exp(fo - _log_sum_exp2(fy, fo)))
+    lse = _log_sum_exp2(fy, fo)
+    loss = lse - fy
+    p_other = np.exp(fo - lse)
     # dL/dfy = -p_other, dL/dfo = p_other
     d_r = -p_other * val + p_other * cos_other
     d_cy = -p_other * r * dval
     d_co = p_other * r
-    return float(loss), (float(d_r), float(d_cy), float(d_co))
+    if np.ndim(loss) == 0:
+        return float(loss), (float(d_r), float(d_cy), float(d_co))
+    return loss, (d_r, d_cy, d_co)
 
 
 def softmax_loss(logits: np.ndarray, label: int):
@@ -330,24 +323,23 @@ def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
             dfeat[s] = dl @ w
             dhead += np.outer(dl, feats[s])
     elif loss_kind == "asoftmax":
-        m = model.margin
-        for s in range(b):
-            x = feats[s]
-            r = np.linalg.norm(x)
-            if r < 1e-300:
-                continue
-            y = int(labels[s])
-            o = 1 - y
-            u_y = float(w[y] @ x)
-            cos_y = u_y / r
-            cos_o = float(w[o] @ x) / r
-            loss, (d_r, d_cy, d_co) = asoftmax_loss(r, cos_y, cos_o, m)
-            total += loss
-            dcos_y_dx = (w[y] - cos_y * x / r) / r
-            dcos_o_dx = (w[o] - cos_o * x / r) / r
-            dfeat[s] = d_r * x / r + d_cy * dcos_y_dx + d_co * dcos_o_dx
-            dhead[y] += d_cy * x / r
-            dhead[o] += d_co * x / r
+        r = np.linalg.norm(feats, axis=1)
+        # a zero feature has no angle: it adds no loss and no gradient
+        live = np.flatnonzero(~(r < 1e-300))
+        x, r, y = feats[live], r[live], labels[live].astype(int)
+        rows = np.arange(live.size)
+        cos = x @ w.T / r[:, None]
+        loss, (d_r, d_cy, d_co) = asoftmax_loss(
+            r, cos[rows, y], cos[rows, 1 - y], model.margin)
+        total = float(np.sum(loss))
+        # dL/dcos per class; dcos_c/dx = (w_c - cos_c x/r) / r
+        dcos = np.empty_like(cos)
+        dcos[rows, y] = d_cy
+        dcos[rows, 1 - y] = d_co
+        u = x / r[:, None]
+        dfeat[live] = ((d_r - np.sum(dcos * cos, axis=1) / r)[:, None] * u
+                       + dcos @ w / r[:, None])
+        dhead = dcos.T @ u
     else:
         raise ValueError(f"unknown loss {loss_kind!r}")
     return total / b, dfeat / b, dhead / b
@@ -361,11 +353,11 @@ def loss_and_grads(model: MsLstmModel, x: np.ndarray, labels: np.ndarray,
     Returns (loss, grads) with grads = {"layers": [{"w","u","b"}...],
     "head": array}.
     """
-    feats, caches = _forward_batch(model, np.asarray(x, dtype=np.float64),
-                                   keep_cache=True)
+    feats, caches = _run_layers(model, np.asarray(x, dtype=np.float64),
+                                keep_cache=True)
     loss, dfeat, dhead = _head_loss_and_grads(
         model, feats, np.asarray(labels), loss_kind)
-    layer_grads, _ = _backward_batch(model, caches, dfeat)
+    layer_grads = _backward_batch(model, caches, dfeat)
     return loss, {"layers": layer_grads, "head": dhead}
 
 

@@ -193,6 +193,21 @@ def test_crop_corner_edge_replication(rng):
     assert np.array_equal(patch, padded[4 - 2:4 + 2, 4 - 2:4 + 2])
 
 
+def test_crop_matches_edge_padded_frame_everywhere(rng):
+    # centers from fully outside through the borders to fully inside, so
+    # both the in-frame slice and the edge-replicating path are compared
+    frame = rng.integers(0, 256, size=(13, 11)).astype(np.uint8)
+    padded = np.pad(frame, 20, mode="edge")
+    for h, w in ((4, 5), (5, 4), (13, 11), (1, 1)):
+        for cy in range(-4, 18):
+            for cx in range(-4, 16):
+                patch = dataset.crop_eye(frame, dataset.EyeCenter(cx, cy),
+                                         (h, w))
+                y0, x0 = 20 + cy - h // 2, 20 + cx - w // 2
+                assert np.array_equal(patch, padded[y0:y0 + h, x0:x0 + w])
+                assert not np.shares_memory(patch, frame)
+
+
 def test_crop_constant_frame_stays_constant():
     frame = np.full((30, 30), 77, dtype=np.uint8)
     for cx, cy in ((0, 0), (15, 15), (29, 0)):

@@ -124,10 +124,15 @@ def test_too_small_patch_rejected():
         features.uniform_lbp(np.zeros((2, 5)))
 
 
-def test_bilinear_sampling_mode_runs(rng):
-    patch = rng.integers(0, 256, size=(16, 16)).astype(float)
-    hist = features.uniform_lbp(patch, sampling="bilinear")
-    assert abs(hist.sum() - 1.0) < 1e-9
+def test_uniform_lbp_and_resize_on_a_stack(rng):
+    stack = rng.integers(0, 256, size=(2, 3, 11, 9)).astype(float)
+    resized = features.resize_patch(stack, (7, 8))
+    hists = features.uniform_lbp(stack)
+    assert resized.shape == (2, 3, 7, 8) and hists.shape == (2, 3, 59)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(resized[idx],
+                              features.resize_patch(stack[idx], (7, 8)))
+        assert np.array_equal(hists[idx], naive_uniform_lbp(stack[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +231,25 @@ def test_frame_histograms_match_per_frame_crops():
         features.steps_from_histograms(hists[:1])
     with pytest.raises(ValueError):
         features.frame_histograms(clip.frames, regions[:-1])
+
+
+def test_stacked_frame_histograms_match_naive_per_frame(monkeypatch):
+    clip = dataset.synth_clip(8, dataset.LABEL_BLINK, 10)
+    regions = _regions_for(clip)
+    # the region grows mid-track, as after a re-localization, and shrinks
+    # again; with stacks of 3 frames the size changes and stack boundaries
+    # fall at different frames
+    regions = (regions[:4] + [(cx, cy, h + 4, w + 6)
+                              for cx, cy, h, w in regions[4:7]]
+               + regions[7:])
+    monkeypatch.setattr(features, "FRAME_BATCH", 3)
+    hists = features.frame_histograms(clip.frames, regions)
+    assert hists.shape == (10, 59)
+    for frame, (cx, cy, h, w), hist in zip(clip.frames, regions, hists):
+        patch = dataset.crop_eye(frame, dataset.EyeCenter(cx, cy),
+                                 (int(round(h)), int(round(w))))
+        want = naive_uniform_lbp(features.resize_patch(patch, (24, 24)))
+        assert np.array_equal(hist, want)
 
 
 def test_featurize_order_sensitive():

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blinkwild import mslstm
 from blinkwild.errors import InvalidDatasetError, ModelFormatError
@@ -41,44 +43,68 @@ def _separable_set(n=20, steps=5, dim=6, noise=0.05, seed=5):
     return out
 
 
+def _one_layer(params, scales=1, seed=0):
+    """Single-layer model around ``params`` with a random unit head."""
+    head = np.random.default_rng(seed).normal(size=(2, scales * params.hidden))
+    head /= np.linalg.norm(head, axis=1, keepdims=True)
+    return mslstm.MsLstmModel(layers=[params], head=head, scales=scales,
+                              margin=4)
+
+
 # ---------------------------------------------------------------------------
-# lstm_cell
+# the LSTM cell, read through forward and the BPTT caches
 
 
 def test_cell_zero_params_zero_state(rng):
     params = _zero_params(3, 2)
-    h, c = mslstm.lstm_cell(rng.normal(size=3), np.zeros(2), np.zeros(2),
-                            params)
-    assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
+    feat, _, _ = mslstm.forward(_one_layer(params), rng.normal(size=(4, 3)))
+    # all gates sit at 0.5 and g at 0, so c stays 0 and h = 0.5 tanh(c) = 0
+    assert np.allclose(feat, 0.0)
 
 
 def test_cell_gate_saturation_preserves_memory(rng):
     params = _zero_params(3, 2)
-    params.b[0:2] = -50.0   # input gate shut
-    params.b[2:4] = 50.0    # forget gate open
-    c_prev = rng.normal(size=2)
-    _, c = mslstm.lstm_cell(rng.normal(size=3), rng.normal(size=2), c_prev,
-                            params)
-    assert np.allclose(c, c_prev, atol=1e-12)
+    params.w[0, 0:2] = 100.0   # input gate opens only while x[0] = 1
+    params.b[0:2] = -50.0
+    params.b[2:4] = 50.0       # forget gate open
+    params.b[4:6] = 50.0       # output gate open: h = tanh(c)
+    params.w[1:, 6:8] = rng.normal(size=(2, 2))
+    seq = np.array([[1.0, *rng.normal(size=2)], [0.0, *rng.normal(size=2)]])
+    feat, _, _ = mslstm.forward(_one_layer(params, scales=2), seq)
+    c_written, c_kept = np.arctanh(feat[:2]), np.arctanh(feat[2:])
+    assert np.max(np.abs(c_written)) > 0.1
+    assert np.allclose(c_kept, c_written, atol=1e-12)
 
 
 def test_cell_matches_reference_oracle():
     r = np.random.default_rng(7)
-    params = mslstm.LstmLayerParams(w=r.normal(size=(3, 8)),
-                                    u=r.normal(size=(2, 8)),
-                                    b=r.normal(size=8))
-    x, h0, c0 = r.normal(size=3), r.normal(size=2), r.normal(size=2)
-    h, c = mslstm.lstm_cell(x, h0, c0, params)
-    h_ref, c_ref = reference_lstm_step(x, h0, c0, params)
-    assert np.max(np.abs(h - h_ref)) < 1e-12
-    assert np.max(np.abs(c - c_ref)) < 1e-12
+    model = tiny_model(input_dim=3, hidden=2, layers=2, scales=1, seed=7)
+    for params in model.layers:
+        params.b[:] = r.normal(size=8)
+    x = r.normal(size=(4, 5, 3))
+    _, caches = mslstm._run_layers(model, x, keep_cache=True)
+    want_inp = x
+    for params, inp, outs, steps in caches:
+        assert np.array_equal(inp, want_inp)
+        h_prev = np.zeros((4, 2))
+        for t in range(5):
+            # every step from the core's own (non-zero after t = 0) state
+            c_prev = steps[t][0]
+            h_ref, c_ref = reference_lstm_step(inp[:, t], h_prev, c_prev,
+                                               params)
+            assert np.max(np.abs(outs[:, t] - h_ref)) < 1e-12
+            assert np.max(np.abs(steps[t][5] - np.tanh(c_ref))) < 1e-12
+            if t < 4:
+                assert np.max(np.abs(steps[t + 1][0] - c_ref)) < 1e-12
+            h_prev = outs[:, t]
+        assert np.array_equal(steps[0][0], np.zeros((4, 2)))
+        want_inp = outs
 
 
 def test_cell_rejects_non_finite():
-    params = _zero_params(2, 2)
+    model = _one_layer(_zero_params(2, 2))
     with pytest.raises(ValueError):
-        mslstm.lstm_cell(np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2),
-                         params)
+        mslstm.forward(model, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_hidden_state_bounded(rng):
@@ -100,7 +126,7 @@ def _manual_feature(model, seq):
         c = np.zeros(params.hidden)
         outs = []
         for x in inp:
-            h, c = mslstm.lstm_cell(x, h, c, params)
+            h, c = reference_lstm_step(x, h, c, params)
             outs.append(h)
         inp = outs
     return np.concatenate(inp[-model.scales:])
@@ -201,6 +227,109 @@ def test_gradient_check_full_model(loss_kind, rng):
     x = rng.normal(size=(4, 5, 6))
     labels = np.array([0, 1, 0, 1])
     assert max_rel_grad_err(model, x, labels, loss_kind) < 1e-4
+
+
+def reference_bptt(model, caches, dfeat):
+    """Step-by-step BPTT that accumulates every weight gradient per step."""
+    b, n = dfeat.shape[0], caches[0][2].shape[1]
+    dh_seq = np.zeros((b, n, model.hidden))
+    dh_seq[:, n - model.scales:] = dfeat.reshape(b, model.scales, -1)
+    grads = []
+    for params, inp, outs, steps in reversed(caches):
+        hd = params.hidden
+        g_w, g_u, g_b = (np.zeros_like(a) for a in (params.w, params.u,
+                                                     params.b))
+        dx_seq = np.zeros(inp.shape)
+        dh_next, dc_next = np.zeros((b, hd)), np.zeros((b, hd))
+        for t in range(n - 1, -1, -1):
+            c_prev, i, f, o, g, tc = steps[t]
+            h_prev = outs[:, t - 1] if t else np.zeros((b, hd))
+            dh = dh_seq[:, t] + dh_next
+            dc = dc_next + dh * o * (1 - tc * tc)
+            da = np.concatenate([dc * g * i * (1 - i),
+                                 dc * c_prev * f * (1 - f),
+                                 dh * tc * o * (1 - o),
+                                 dc * i * (1 - g * g)], axis=1)
+            g_w += inp[:, t].T @ da
+            g_u += h_prev.T @ da
+            g_b += da.sum(axis=0)
+            dx_seq[:, t] = da @ params.w.T
+            dh_next, dc_next = da @ params.u.T, dc * f
+        grads.insert(0, {"w": g_w, "u": g_u, "b": g_b})
+        dh_seq = dx_seq
+    return grads
+
+
+def test_backward_matches_step_by_step_reference(rng):
+    model = tiny_model(input_dim=6, hidden=3, layers=3, scales=2)
+    x = rng.normal(size=(5, 7, 6))
+    feats, caches = mslstm._run_layers(model, x, keep_cache=True)
+    dfeat = rng.normal(size=feats.shape)
+    got = mslstm._backward_batch(model, caches, dfeat)
+    want = reference_bptt(model, caches, dfeat)
+    assert len(got) == len(want) == 3
+    for g, r in zip(got, want):
+        for key in ("w", "u", "b"):
+            assert g[key].shape == r[key].shape
+            assert np.max(np.abs(g[key] - r[key])) < 1e-12
+
+
+def reference_asoftmax_head(model, feats, labels):
+    """Per-sample A-softmax head: mean loss and gradients w.r.t. feats and
+    head; a zero-norm row adds nothing but still counts in the mean."""
+    w = model.head
+    b = feats.shape[0]
+    dfeat = np.zeros_like(feats)
+    dhead = np.zeros_like(w)
+    total = 0.0
+    for s in range(b):
+        x = feats[s]
+        r = np.linalg.norm(x)
+        if r < 1e-300:
+            continue
+        y = int(labels[s])
+        o = 1 - y
+        cos_y = float(w[y] @ x) / r
+        cos_o = float(w[o] @ x) / r
+        loss, (d_r, d_cy, d_co) = mslstm.asoftmax_loss(r, cos_y, cos_o,
+                                                       model.margin)
+        total += loss
+        dfeat[s] = (d_r * x / r + d_cy * (w[y] - cos_y * x / r) / r
+                    + d_co * (w[o] - cos_o * x / r) / r)
+        dhead[y] += d_cy * x / r
+        dhead[o] += d_co * x / r
+    return total / b, dfeat / b, dhead / b
+
+
+def test_asoftmax_head_matches_per_sample_reference(rng):
+    model = tiny_model(hidden=3, scales=2, margin=4)
+    feats = rng.normal(size=(9, 6))
+    feats[4] = 0.0
+    labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+    got = mslstm._head_loss_and_grads(model, feats, labels, "asoftmax")
+    want = reference_asoftmax_head(model, feats, labels)
+    assert abs(got[0] - want[0]) < 1e-12
+    for g, r in zip(got[1:], want[1:]):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) < 1e-12
+    assert np.all(got[1][4] == 0.0)
+    # the zero row still counts in the mean
+    loss_rest, _, _ = mslstm._head_loss_and_grads(
+        model, np.delete(feats, 4, axis=0), np.delete(labels, 4), "asoftmax")
+    assert np.isclose(got[0], loss_rest * 8 / 9, rtol=1e-12)
+
+
+def test_asoftmax_loss_array_matches_scalar(rng):
+    r = rng.uniform(0.1, 5.0, size=7)
+    cy, co = rng.uniform(-1, 1, size=(2, 7))
+    loss, grads = mslstm.asoftmax_loss(r, cy, co, 3)
+    for k in range(7):
+        one_loss, one_grads = mslstm.asoftmax_loss(float(r[k]), float(cy[k]),
+                                                   float(co[k]), 3)
+        assert type(one_loss) is float
+        assert abs(loss[k] - one_loss) < 1e-12
+        assert np.allclose([g[k] for g in grads], one_grads, rtol=0,
+                           atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +479,36 @@ def test_model_bad_header_field_rejected(tmp_path, field, value):
         mslstm.load_model(str(path))
 
 
+_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("flip"), st.integers(0, 10 ** 6), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=_CORRUPTIONS)
+def test_load_model_fuzz_loads_or_names_path(tmp_path_factory, corruption):
+    path = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    mslstm.save_model(str(path), tiny_model(input_dim=6, hidden=3, seed=9))
+    data = bytearray(path.read_bytes())
+    kind, *args = corruption
+    if kind == "truncate":
+        data = data[:args[0] % len(data)]
+    elif kind == "flip":
+        data[args[0] % len(data)] ^= args[1]
+    else:
+        data += args[0]
+    path.write_bytes(bytes(data))
+    try:
+        model = mslstm.load_model(str(path))
+    except ModelFormatError as err:
+        assert str(path) in str(err)
+    else:
+        assert kind == "flip"
+        mslstm.save_model(str(path), model)
+        assert path.read_bytes() == bytes(data)
+
+
 def test_predict_rejects_non_finite(rng):
     model = tiny_model(input_dim=6, hidden=3)
     seq = rng.normal(size=(5, 6))
@@ -386,7 +545,7 @@ def test_predict_batch_rejects_bad_input(rng):
 def test_forward_without_cache_matches_training_forward(rng):
     model = tiny_model(input_dim=6, hidden=3)
     x = rng.normal(size=(7, 5, 6))
-    feats, caches = mslstm._forward_batch(model, x, keep_cache=False)
+    feats, caches = mslstm._run_layers(model, x, keep_cache=False)
     assert caches is None
-    want, _ = mslstm._forward_batch(model, x, keep_cache=True)
+    want, _ = mslstm._run_layers(model, x, keep_cache=True)
     assert np.array_equal(feats, want)

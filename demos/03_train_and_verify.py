@@ -25,8 +25,8 @@ def featurize(clips):
         label = (mslstm.CLASS_BLINK if clip.label == dataset.LABEL_BLINK
                  else mslstm.CLASS_NONBLINK)
         for eye in ("left", "right"):
-            data.append((features.featurize_clip(clip,
-                                                 regions_for(clip, eye)),
+            data.append((features.featurize_frames(clip.frames,
+                                                   regions_for(clip, eye)),
                          label))
     return data
 
@@ -52,26 +52,22 @@ def main():
     print(f"loss: {history[0]:.3f} (step 1) -> {history[-1]:.3f} "
           f"(step {len(history)})")
 
-    counts = {eye: [0, 0, 0] for eye in ("left", "right")}
+    pairs = {eye: [] for eye in ("left", "right")}
     for clip in test_clips:
         verdicts = pipeline.verify_clip(
             clip, pipeline.annotation_locator(clip), model)
         positive = clip.label == dataset.LABEL_BLINK
         for eye, v in verdicts.items():
-            predicted = v.label == dataset.LABEL_BLINK and not v.lost
-            if positive and predicted:
-                counts[eye][0] += 1
-            elif positive:
-                counts[eye][2] += 1
-            elif predicted:
-                counts[eye][1] += 1
+            pairs[eye].append(
+                (positive, v.label == dataset.LABEL_BLINK and not v.lost))
 
     print("\ntracked verification on the held-out clips:")
-    for eye, (tp, fp, fn) in counts.items():
-        recall, precision, f1 = evaluation.prf(
-            evaluation.ConfusionCounts(tp, fp, fn))
+    for eye, eye_pairs in pairs.items():
+        counts = evaluation.confusion(eye_pairs)
+        recall, precision, f1 = evaluation.prf(counts)
         print(f"  {eye:5s}: recall {recall:.3f}  precision {precision:.3f}"
-              f"  F1 {f1:.3f}  (tp={tp} fp={fp} fn={fn})")
+              f"  F1 {f1:.3f}  (tp={counts.tp} fp={counts.fp} "
+              f"fn={counts.fn})")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ matching evaluation metrics."""
 from . import dataset, evaluation, features, mslstm, pipeline, tracker
 from .dataset import (Clip, EyeCenter, Manifest, crop_eye, eye_region,
                       load_manifest, polish_clip, synth_clip, synth_stream)
-from .features import (feature_correlation, featurize_clip, motion_feature,
-                       resize_patch, uniform_lbp)
+from .features import featurize_frames, resize_patch, uniform_lbp
 from .mslstm import (MsLstmModel, TrainConfig, asoftmax_loss, forward,
                      init_model, load_model, predict, save_model,
                      softmax_loss, train)

@@ -40,14 +40,12 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 
 def _annotated_regions(clip: dataset.Clip, eye: str):
-    regions = []
-    for rec in clip.annotations:
-        center = rec.left_eye if eye == "left" else rec.right_eye
-        if not center.visible:
-            return None
-        h, w = dataset.eye_region(rec.left_eye, rec.right_eye, rec.face_box)
-        regions.append((center.x, center.y, float(h), float(w)))
-    return regions
+    """The eye's annotated region per frame, or None unless it is visible
+    in every frame."""
+    regions = [pipeline._region_for(eye, (rec.left_eye, rec.right_eye,
+                                          rec.face_box))
+               for rec in clip.annotations]
+    return None if None in regions else regions
 
 
 def _closed_frame_index(clip: dataset.Clip) -> int:
@@ -120,8 +118,7 @@ def cmd_polish(args) -> int:
     return 0
 
 
-def _load_split_features(manifest: dataset.Manifest, split: str,
-                         patch_size):
+def _load_split_features(manifest: dataset.Manifest, split: str):
     """(sequence, label, entry, eye) per eye with full annotated visibility."""
     samples = []
 
@@ -132,7 +129,7 @@ def _load_split_features(manifest: dataset.Manifest, split: str,
             regions = _annotated_regions(clip, eye)
             if regions is None:
                 continue
-            seq = features.featurize_clip(clip, regions, patch_size)
+            seq = features.featurize_frames(clip.frames, regions)
             label = (mslstm.CLASS_BLINK if entry.label == dataset.LABEL_BLINK
                      else mslstm.CLASS_NONBLINK)
             out.append((seq, label, entry, eye))
@@ -146,8 +143,7 @@ def _load_split_features(manifest: dataset.Manifest, split: str,
 
 def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    patch = (args.patch, args.patch)
-    samples = _load_split_features(manifest, "train", patch)
+    samples = _load_split_features(manifest, "train")
     train_set = [(seq, label) for seq, label, _, _ in samples]
     model = mslstm.init_model(hidden=args.hidden, layers=args.layers,
                               scales=args.scales, margin=args.margin,
@@ -168,55 +164,64 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _me_ok(box, center, rec) -> bool:
+def _me_ok(box, rec, eye: str) -> bool:
     if not (rec.left_eye.visible and rec.right_eye.visible):
         return True  # ME undefined without both gt centers; not counted
-    err = evaluation.me((box[0], box[1]), center, rec.left_eye, rec.right_eye)
+    center = rec.left_eye if eye == "left" else rec.right_eye
+    err = evaluation.me(box[:2], center, rec.left_eye, rec.right_eye)
     return err <= evaluation.ME_THRESHOLD
+
+
+def _report(args, outcomes, fr_by_eye, path) -> None:
+    """Write the report at ``path`` and print one summary line per eye.
+
+    ``outcomes`` maps each eye to (confidence, is_blink, predicted_blink)
+    triples; ``fr_by_eye`` holds the FR of the eyes it was measured for.
+    """
+    per_eye = {}
+    for eye in EYES:
+        recall, precision, f1 = evaluation.prf(evaluation.confusion(
+            (is_blink, predicted) for _, is_blink, predicted in outcomes[eye]))
+        per_eye[eye] = {"recall": recall, "precision": precision,
+                        "f1": f1, "fr": fr_by_eye.get(eye, 0.0)}
+    scores = [(conf, is_blink) for eye in EYES
+              for conf, is_blink, _ in outcomes[eye]]
+    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
+                                   config_hash=_config_hash(args),
+                                   scores=scores)
+    evaluation.emit_report(report, path)
+    for eye in EYES:
+        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
+                                    for k, v in per_eye[eye].items()))
 
 
 def cmd_verify(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mslstm.load_model(args.model)
-    patch = (args.patch, args.patch)
     rows = []
-    confusion = {eye: [0, 0, 0] for eye in EYES}  # tp, fp, fn
-    tally = {eye: [0, 0, 0] for eye in EYES}      # miss, err, all
-    scores = {eye: [] for eye in EYES}
+    outcomes = {eye: [] for eye in EYES}
+    tally = {eye: [0, 0, 0] for eye in EYES}  # miss, err, all
     for entry in manifest.split("test"):
         clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
         streams = pipeline.track_eyes(clip.frames,
                                       pipeline.annotation_locator(clip),
                                       track_thresh=args.track_thresh)
-        verdicts = pipeline.verify_streams(clip.frames, streams, model,
-                                           patch)
+        verdicts = pipeline.verify_streams(clip.frames, streams, model)
         is_blink = entry.label == dataset.LABEL_BLINK
         for eye in EYES:
             v = verdicts[eye]
             rows.append([entry.source_id, eye, v.label,
                          repr(v.confidence), int(v.lost)])
-            stream = streams[eye]
+            outcomes[eye].append((v.confidence, is_blink,
+                                  v.label == dataset.LABEL_BLINK
+                                  and not v.lost))
             if is_blink:
                 tally[eye][2] += 1
-                if stream.lost_from is not None:
+                if v.lost:
                     tally[eye][0] += 1
-                else:
-                    good = all(_me_ok(stream.boxes[t],
-                                      (rec.left_eye if eye == "left"
-                                       else rec.right_eye), rec)
-                               for t, rec in enumerate(clip.annotations)
-                               if (rec.left_eye if eye == "left"
-                                   else rec.right_eye).visible)
-                    if not good:
-                        tally[eye][1] += 1
-            scores[eye].append((v.confidence, is_blink))
-            predicted_blink = v.label == dataset.LABEL_BLINK and not v.lost
-            if is_blink and predicted_blink:
-                confusion[eye][0] += 1
-            elif is_blink:
-                confusion[eye][2] += 1
-            elif predicted_blink:
-                confusion[eye][1] += 1
+                elif not all(_me_ok(box, rec, eye) for box, rec in
+                             zip(streams[eye].boxes, clip.annotations)):
+                    tally[eye][1] += 1
 
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
@@ -224,23 +229,9 @@ def cmd_verify(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["clip", "eye", "label", "confidence", "lost"])
         writer.writerows(rows)
-    per_eye = {}
-    for eye in EYES:
-        tp, fp, fn = confusion[eye]
-        recall, precision, f1 = evaluation.prf(
-            evaluation.ConfusionCounts(tp, fp, fn))
-        miss, errn, alln = tally[eye]
-        fr_val = (evaluation.fr(evaluation.LocalizationTally(miss, errn, alln))
-                  if alln else 0.0)
-        per_eye[eye] = {"recall": recall, "precision": precision,
-                        "f1": f1, "fr": fr_val}
-    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
-                                   config_hash=_config_hash(args),
-                                   scores=scores["left"] + scores["right"])
-    evaluation.emit_report(report, os.path.join(args.out, "report"))
-    for eye in EYES:
-        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
-                                    for k, v in per_eye[eye].items()))
+    fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
+                 for eye, counts in tally.items() if counts[2]}
+    _report(args, outcomes, fr_by_eye, os.path.join(args.out, "report"))
     return 0
 
 
@@ -266,8 +257,7 @@ def cmd_eval(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
     for entry in manifest.entries:
         truth[entry.source_id] = entry.label == dataset.LABEL_BLINK
-    confusion = {eye: [0, 0, 0] for eye in EYES}
-    scores = []
+    outcomes = {eye: [] for eye in EYES}
     with open(args.predictions, newline="") as f:
         reader = csv.DictReader(f)
         missing = PREDICTION_COLUMNS - set(reader.fieldnames or ())
@@ -277,35 +267,15 @@ def cmd_eval(args) -> int:
         for row in reader:
             where = f"{args.predictions}:{reader.line_num}"
             eye = row["eye"]
-            if eye not in confusion:
+            if eye not in outcomes:
                 raise PredictionsError(f"{where}: unknown eye {eye!r}")
             if row["clip"] not in truth:
                 raise PredictionsError(
                     f"{where}: clip {row['clip']!r} is not in manifest "
                     f"{args.manifest}")
-            is_blink = truth[row["clip"]]
-            predicted = row["label"] == dataset.LABEL_BLINK
-            scores.append((float(row["confidence"]), is_blink))
-            if is_blink and predicted:
-                confusion[eye][0] += 1
-            elif is_blink:
-                confusion[eye][2] += 1
-            elif predicted:
-                confusion[eye][1] += 1
-    per_eye = {}
-    for eye in EYES:
-        tp, fp, fn = confusion[eye]
-        recall, precision, f1 = evaluation.prf(
-            evaluation.ConfusionCounts(tp, fp, fn))
-        per_eye[eye] = {"recall": recall, "precision": precision,
-                        "f1": f1, "fr": 0.0}
-    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
-                                   config_hash=_config_hash(args),
-                                   scores=scores)
-    evaluation.emit_report(report, args.out)
-    for eye in EYES:
-        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
-                                    for k, v in per_eye[eye].items()))
+            outcomes[eye].append((float(row["confidence"]), truth[row["clip"]],
+                                  row["label"] == dataset.LABEL_BLINK))
+    _report(args, outcomes, {}, args.out)
     return 0
 
 
@@ -320,7 +290,6 @@ def cmd_bench(args) -> int:
     else:
         clips = [dataset.synth_clip(args.seed + i, dataset.LABEL_NONBLINK, 10)
                  for i in range(8)]
-    patch = (args.patch, args.patch)
     warmup = 50
     track_ms, feat_ms, infer_ms = [], [], []
     prev_hist = None
@@ -337,7 +306,7 @@ def cmd_bench(args) -> int:
                 state, result = tracker.kcf_update(state, clip.frames[t])
                 t1 = time.perf_counter()
                 hist = features.frame_histograms(
-                    [clip.frames[t]], [result.region], patch)[0]
+                    [clip.frames[t]], [result.region])[0]
                 t2 = time.perf_counter()
                 if prev_hist is not None:
                     window_steps.append(
@@ -425,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--loss", choices=["softmax", "asoftmax"],
                    default="asoftmax")
-    p.add_argument("--patch", type=int, default=24,
-                   help="LBP patch side (default 24)")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -434,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--patch", type=int, default=24)
     p.add_argument("--track-thresh", type=float, default=0.25,
                    help="re-localization trigger score (default 0.25)")
     p.set_defaults(func=cmd_verify)
@@ -462,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file (default: fresh init)")
     p.add_argument("--frames", type=int, default=500,
                    help="timed frames after 50-frame warmup (default 500)")
-    p.add_argument("--patch", type=int, default=24)
     p.add_argument("--out", help="optional JSON output")
     _add_model_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     AnnotationError,
+    FrameFormatError,
     ManifestError,
     MissingAssetError,
     NoVisibleEyeError,
@@ -198,10 +199,12 @@ def write_pgm(path: str, frame: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """8-bit binary PGM as an (h, w) uint8 array; a file that is not one
+    raises FrameFormatError naming it."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM")
+        raise FrameFormatError(f"{path}: not a binary PGM")
     # header: magic, width height, maxval; comments allowed after magic
     fields: list[bytes] = []
     pos = 2
@@ -209,16 +212,27 @@ def read_pgm(path: str) -> np.ndarray:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
         if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                raise FrameFormatError(f"{path}: unterminated header comment")
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(x) for x in fields)
+    try:
+        w, h, maxval = (int(x) for x in fields)
+    except ValueError:
+        raise FrameFormatError(f"{path}: non-integer size or maxval in "
+                               f"the header") from None
+    if w < 1 or h < 1:
+        raise FrameFormatError(f"{path}: bad frame size {w}x{h}")
     if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+        raise FrameFormatError(f"{path}: expected maxval 255, got {maxval}")
+    if len(data) < pos + w * h:
+        raise FrameFormatError(f"{path}: truncated: {w}x{h} pixels need "
+                               f"{w * h} bytes after the header")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
     return pixels.reshape(h, w).copy()
 
@@ -230,19 +244,38 @@ def _eye_from_fields(x: float, y: float) -> EyeCenter:
 
 
 def load_annotations(path: str) -> list[AnnotationRecord]:
+    """Records of an annotation CSV; a malformed header or row raises
+    AnnotationError naming the file, and the line of a bad row."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            rows = [(reader.line_num, row) for row in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise AnnotationError(f"{path}: not a readable CSV ({exc})") from None
+    header = rows[0][1] if rows else None
+    if header != ANNOTATION_HEADER:
+        raise AnnotationError(f"{path}: bad header {str(header)[:120]}")
     records = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ANNOTATION_HEADER:
-            raise AnnotationError(f"{path}: bad header {reader.fieldnames}")
-        for row in reader:
-            records.append(AnnotationRecord(
-                frame_index=int(row["frame"]),
-                face_box=(float(row["face_x"]), float(row["face_y"]),
-                          float(row["face_w"]), float(row["face_h"])),
-                left_eye=_eye_from_fields(float(row["lx"]), float(row["ly"])),
-                right_eye=_eye_from_fields(float(row["rx"]), float(row["ry"])),
-            ))
+    for line, row in rows[1:]:
+        if not row:
+            continue
+        where = f"{path}:{line}"
+        if len(row) != len(ANNOTATION_HEADER):
+            raise AnnotationError(f"{where}: expected "
+                                  f"{len(ANNOTATION_HEADER)} fields, "
+                                  f"got {len(row)}")
+        try:
+            frame = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise AnnotationError(f"{where}: non-numeric field") from None
+        if not all(map(math.isfinite, values)):
+            raise AnnotationError(f"{where}: non-finite field")
+        fx, fy, fw, fh, lx, ly, rx, ry = values
+        records.append(AnnotationRecord(
+            frame_index=frame, face_box=(fx, fy, fw, fh),
+            left_eye=_eye_from_fields(lx, ly),
+            right_eye=_eye_from_fields(rx, ry)))
     return records
 
 

@@ -21,6 +21,10 @@ class AnnotationError(BlinkwildError):
     """An annotation record violates its geometric constraints."""
 
 
+class FrameFormatError(BlinkwildError, ValueError):
+    """A frame file is not a well-formed 8-bit binary PGM."""
+
+
 class NoVisibleEyeError(BlinkwildError):
     """Eye-region geometry was requested with neither eye visible."""
 
@@ -35,10 +39,6 @@ class PredictionsError(BlinkwildError):
 
 class TrackLostError(BlinkwildError):
     """Tracker region has left the frame entirely."""
-
-
-class UndefinedCorrelationError(BlinkwildError):
-    """Correlation of a zero vector is undefined."""
 
 
 class DegenerateGeometryError(BlinkwildError):

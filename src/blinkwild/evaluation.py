@@ -35,6 +35,14 @@ class LocalizationTally:
     n_all: int = 0
 
 
+def confusion(pairs) -> ConfusionCounts:
+    """Counts over (is_blink, predicted_blink) pairs."""
+    pairs = list(pairs)
+    return ConfusionCounts(tp=sum(1 for a, p in pairs if a and p),
+                           fp=sum(1 for a, p in pairs if p and not a),
+                           fn=sum(1 for a, p in pairs if a and not p))
+
+
 def prf(counts: ConfusionCounts) -> tuple[float, float, float]:
     """(recall, precision, f1) with the 0-denominator -> 0 convention."""
     pos = counts.tp + counts.fn

@@ -9,16 +9,14 @@ encodes motion. A clip of N frames yields N-1 steps of 118 values each
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
-from .dataset import Clip, EyeCenter, crop_eye
-from .errors import UndefinedCorrelationError
+from .dataset import EyeCenter, crop_eye
 
 N_BINS = 59  # 58 uniform 8-bit patterns + 1 catch-all
 FEATURE_DIM = 2 * N_BINS
-DEFAULT_PATCH_SIZE = (24, 24)
+PATCH_SIZE = (24, 24)  # every eye crop is resized to this before LBP
 
 # frames per crop stack in frame_histograms; a stack's temporaries grow with
 # its size: on a 3000-frame track one stack raised peak RSS by 78 MB,
@@ -82,15 +80,6 @@ def uniform_lbp(patch: np.ndarray) -> np.ndarray:
     return hist / hist.sum(axis=-1, keepdims=True)
 
 
-def motion_feature(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Element-wise difference of two consecutive appearance histograms."""
-    curr = np.asarray(curr, dtype=np.float64)
-    prev = np.asarray(prev, dtype=np.float64)
-    if curr.shape != prev.shape:
-        raise ValueError("histogram shapes differ")
-    return curr - prev
-
-
 def resize_patch(patch: np.ndarray, out: tuple[int, int]) -> np.ndarray:
     """Bilinear resize with corner-aligned sample grids of a patch, or of
     every patch of a (..., H, W) stack."""
@@ -118,11 +107,10 @@ def resize_patch(patch: np.ndarray, out: tuple[int, int]) -> np.ndarray:
 
 
 def frame_histograms(frames: list[np.ndarray],
-                     regions: list[tuple[float, float, float, float]],
-                     patch_size: tuple[int, int] = DEFAULT_PATCH_SIZE
+                     regions: list[tuple[float, float, float, float]]
                      ) -> np.ndarray:
     """Appearance histogram per frame, shape (len(frames), 59): each eye
-    region (cx, cy, h, w) is cropped, resized to ``patch_size`` and
+    region (cx, cy, h, w) is cropped, resized to ``PATCH_SIZE`` and
     described by its uniform LBP histogram. Crops of one size are resized
     and coded as one stack, ``FRAME_BATCH`` frames at most."""
     if len(regions) != len(frames):
@@ -138,7 +126,7 @@ def frame_histograms(frames: list[np.ndarray],
         for crops in by_size.values():
             index, patches = zip(*crops)
             hists[list(index)] = uniform_lbp(
-                resize_patch(np.stack(patches), patch_size))
+                resize_patch(np.stack(patches), PATCH_SIZE))
     return hists
 
 
@@ -154,50 +142,13 @@ def steps_from_histograms(hists: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 2 frames")
     steps = np.empty((hists.shape[0] - 1, FEATURE_DIM))
     steps[:, :N_BINS] = hists[1:]
-    steps[:, N_BINS:] = motion_feature(hists[1:], hists[:-1])
+    steps[:, N_BINS:] = hists[1:] - hists[:-1]
     return steps
 
 
 def featurize_frames(frames: list[np.ndarray],
-                     regions: list[tuple[float, float, float, float]],
-                     patch_size: tuple[int, int] = DEFAULT_PATCH_SIZE
+                     regions: list[tuple[float, float, float, float]]
                      ) -> np.ndarray:
     """Feature sequence from per-frame eye regions (cx, cy, h, w), shape
     (len(frames) - 1, 118); see ``steps_from_histograms``."""
-    return steps_from_histograms(
-        frame_histograms(frames, regions, patch_size))
-
-
-def featurize_clip(clip: Clip, regions,
-                   patch_size=DEFAULT_PATCH_SIZE) -> np.ndarray:
-    return featurize_frames(clip.frames, regions, patch_size)
-
-
-def feature_correlation(fc: np.ndarray, fn: np.ndarray) -> float:
-    """Uncentered correlation coefficient between two feature vectors."""
-    fc = np.asarray(fc, dtype=np.float64).ravel()
-    fn = np.asarray(fn, dtype=np.float64).ravel()
-    if fc.shape != fn.shape:
-        raise ValueError("vectors must have equal length")
-    nc, nn = np.linalg.norm(fc), np.linalg.norm(fn)
-    if nc == 0.0 or nn == 0.0:
-        raise UndefinedCorrelationError("correlation of zero vector")
-    return float(np.dot(fc, fn) / (nc * nn))
-
-
-# ---------------------------------------------------------------------------
-# binary feature dump: u32 step_count, u32 dim, then row-major float32
-
-
-def write_features(path: str, steps: np.ndarray) -> None:
-    steps = np.ascontiguousarray(steps, dtype=np.float32)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", steps.shape[0], steps.shape[1]))
-        f.write(steps.astype("<f4").tobytes())
-
-
-def read_features(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        count, dim = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(4 * count * dim), dtype="<f4")
-    return data.reshape(count, dim).astype(np.float64)
+    return steps_from_histograms(frame_histograms(frames, regions))

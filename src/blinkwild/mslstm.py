@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,10 @@ CLASS_BLINK = 1
 # declining learning rate by training step (1-based, inclusive ranges)
 DEFAULT_SCHEDULE = [(1, 100, 1e-2), (101, 3000, 1e-3),
                     (3001, 30000, 1e-4), (30001, 50000, 1e-5)]
+# ADAM moment decay rates and denominator guard
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.9
+ADAM_EPSILON = 1e-8
 
 GATES = 4  # i, f, o, g blocks, stored stacked along the last axis
 
@@ -65,17 +69,12 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     loss: str = "asoftmax"  # or "softmax"
-    beta1: float = 0.5
-    beta2: float = 0.9
-    epsilon: float = 1e-8
-    schedule: list[tuple[int, int, float]] = field(
-        default_factory=lambda: list(DEFAULT_SCHEDULE))
 
     def learning_rate(self, step: int) -> float:
-        for lo, hi, lr in self.schedule:
+        for lo, hi, lr in DEFAULT_SCHEDULE:
             if lo <= step <= hi:
                 return lr
-        return self.schedule[-1][2]
+        return DEFAULT_SCHEDULE[-1][2]
 
 
 def init_model(input_dim: int = 118, hidden: int = 64, layers: int = 2,
@@ -286,21 +285,26 @@ def asoftmax_loss(r, cos_y, cos_other, m: int):
     return loss, (d_r, d_cy, d_co)
 
 
-def softmax_loss(logits: np.ndarray, label: int):
+def softmax_loss(logits: np.ndarray, label):
     """Two-class cross-entropy with log-sum-exp stabilization.
 
-    Returns (loss, dlogits).
+    Takes one (2,) logit row with an int label, giving (float, dlogits
+    (2,)), or (batch, 2) rows with (batch,) labels, giving (losses (batch,),
+    dlogits (batch, 2)). Returns (loss, dlogits).
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    z = logits - logits.max()
-    p = np.exp(z)
-    p /= p.sum()
-    loss = -np.log(max(p[label], 1e-300))
-    dlogits = p.copy()
-    dlogits[label] -= 1.0
-    return float(loss), dlogits
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dlogits = np.atleast_2d(p)
+    rows = np.arange(dlogits.shape[0])
+    labels = np.atleast_1d(label).astype(int)
+    loss = -np.log(np.maximum(dlogits[rows, labels], 1e-300))
+    dlogits[rows, labels] -= 1.0
+    if logits.ndim == 1:
+        return float(loss[0]), dlogits[0]
+    return loss, dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +316,10 @@ def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
     """Mean loss over the batch plus gradients w.r.t. feats and head."""
     b = feats.shape[0]
     w = model.head
-    dfeat = np.zeros_like(feats)
-    dhead = np.zeros_like(w)
-    total = 0.0
     if loss_kind == "softmax":
-        logits = feats @ w.T
-        for s in range(b):
-            loss, dl = softmax_loss(logits[s], int(labels[s]))
-            total += loss
-            dfeat[s] = dl @ w
-            dhead += np.outer(dl, feats[s])
+        loss, dl = softmax_loss(feats @ w.T, labels)
+        dfeat = dl @ w
+        dhead = dl.T @ feats
     elif loss_kind == "asoftmax":
         r = np.linalg.norm(feats, axis=1)
         # a zero feature has no angle: it adds no loss and no gradient
@@ -331,18 +329,18 @@ def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
         cos = x @ w.T / r[:, None]
         loss, (d_r, d_cy, d_co) = asoftmax_loss(
             r, cos[rows, y], cos[rows, 1 - y], model.margin)
-        total = float(np.sum(loss))
         # dL/dcos per class; dcos_c/dx = (w_c - cos_c x/r) / r
         dcos = np.empty_like(cos)
         dcos[rows, y] = d_cy
         dcos[rows, 1 - y] = d_co
         u = x / r[:, None]
+        dfeat = np.zeros_like(feats)
         dfeat[live] = ((d_r - np.sum(dcos * cos, axis=1) / r)[:, None] * u
                        + dcos @ w / r[:, None])
         dhead = dcos.T @ u
     else:
         raise ValueError(f"unknown loss {loss_kind!r}")
-    return total / b, dfeat / b, dhead / b
+    return float(np.sum(loss)) / b, dfeat / b, dhead / b
 
 
 def loss_and_grads(model: MsLstmModel, x: np.ndarray, labels: np.ndarray,
@@ -415,15 +413,15 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
         loss, grads = loss_and_grads(model, x_all[idx], labels[idx],
                                      config.loss)
         lr = config.learning_rate(step)
-        b1c = 1.0 - config.beta1 ** step
-        b2c = 1.0 - config.beta2 ** step
+        b1c = 1.0 - ADAM_BETA1 ** step
+        b2c = 1.0 - ADAM_BETA2 ** step
         for p, g, m_a, v_a in zip(params, _grad_arrays(grads),
                                   m_state, v_state):
-            m_a *= config.beta1
-            m_a += (1 - config.beta1) * g
-            v_a *= config.beta2
-            v_a += (1 - config.beta2) * g * g
-            p -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + config.epsilon)
+            m_a *= ADAM_BETA1
+            m_a += (1 - ADAM_BETA1) * g
+            v_a *= ADAM_BETA2
+            v_a += (1 - ADAM_BETA2) * g * g
+            p -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + ADAM_EPSILON)
         model.head /= np.linalg.norm(model.head, axis=1, keepdims=True)
         history.append(loss)
     return model, history

@@ -39,9 +39,6 @@ class TrackedStream:
     reloc_indices: list = field(default_factory=list)
     lost_from: int | None = None
 
-    def box_at(self, t: int):
-        return self.boxes[t]
-
 
 @dataclass(frozen=True)
 class BlinkEvent:
@@ -139,18 +136,15 @@ class EyeVerdict:
 
 
 def verify_clip(clip: Clip, locator: EyeLocator, model: mslstm.MsLstmModel,
-                patch_size=features.DEFAULT_PATCH_SIZE,
                 params: tracker.KcfParams | None = None,
                 track_thresh: float = TRACK_THRESH) -> dict[str, EyeVerdict]:
     """Per-eye blink verdict for a fixed-length clip: track, then verify."""
     streams = track_eyes(clip.frames, locator, params, track_thresh)
-    return verify_streams(clip.frames, streams, model, patch_size)
+    return verify_streams(clip.frames, streams, model)
 
 
 def verify_streams(frames, streams: dict[str, TrackedStream],
-                   model: mslstm.MsLstmModel,
-                   patch_size=features.DEFAULT_PATCH_SIZE
-                   ) -> dict[str, EyeVerdict]:
+                   model: mslstm.MsLstmModel) -> dict[str, EyeVerdict]:
     """Per-eye blink verdict from the streams ``track_eyes`` returned.
 
     A track lost anywhere in the clip yields (nonblink, 0.0, lost) so it can
@@ -161,7 +155,7 @@ def verify_streams(frames, streams: dict[str, TrackedStream],
         if stream.lost_from is not None:
             out[eye] = EyeVerdict("nonblink", 0.0, True)
             continue
-        seq = features.featurize_frames(frames, stream.boxes, patch_size)
+        seq = features.featurize_frames(frames, stream.boxes)
         label, conf = mslstm.predict(model, seq)
         name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
         out[eye] = EyeVerdict(name, conf, False)
@@ -200,7 +194,6 @@ def temporal_nms(proposals: list[BlinkEvent],
 def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
                   window: int = 10, stride: int = 1,
                   conf_thresh: float = 0.5, iou_thresh: float = 0.33,
-                  patch_size=features.DEFAULT_PATCH_SIZE,
                   params: tracker.KcfParams | None = None,
                   track_thresh: float = TRACK_THRESH) -> list[BlinkEvent]:
     """Sliding-window blink detection over an untrimmed stream.
@@ -232,7 +225,7 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
         if starts.size:
             # window s reads steps s .. s+window-2 of the whole track
             steps = features.steps_from_histograms(features.frame_histograms(
-                frames[:tracked], stream.boxes[:tracked], patch_size))
+                frames[:tracked], stream.boxes[:tracked]))
             offsets = np.arange(window - 1)
             for lo in range(0, starts.size, WINDOW_BATCH):
                 chunk = starts[lo:lo + WINDOW_BATCH]

@@ -48,7 +48,8 @@ def _featurized(clips):
         label = (mslstm.CLASS_BLINK if clip.label == dataset.LABEL_BLINK
                  else mslstm.CLASS_NONBLINK)
         for eye in ("left", "right"):
-            seq = features.featurize_clip(clip, _annotated_regions(clip, eye))
+            seq = features.featurize_frames(clip.frames,
+                                            _annotated_regions(clip, eye))
             out.append((seq, label))
     return out
 

@@ -73,6 +73,7 @@ def test_help_snapshot(sub, capsys):
     }
     for flag in expected_flags[sub]:
         assert flag in text
+    assert "--patch" not in text  # the LBP patch is features.PATCH_SIZE
 
 
 def test_synth_counts_and_balance(small_dataset):
@@ -212,3 +213,18 @@ def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
     assert err[0].startswith(f"error: {preds}")
     for name in names:
         assert name in err[0]
+
+
+def test_detect_truncated_annotations_is_one_line_error(small_model,
+                                                        tmp_path, capsys):
+    clip, _ = dataset.synth_stream(1, 40, blink_center=20)
+    stream_dir = tmp_path / "stream"
+    dataset.save_clip(str(stream_dir), clip)
+    path = stream_dir / "annotations.csv"
+    text = path.read_text()
+    path.write_text(text[:text.rindex(",")])
+    assert run(["detect", "--frames", stream_dir, "--model", small_model,
+                "--out", tmp_path / "events.csv"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}:41: ")

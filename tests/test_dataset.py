@@ -2,11 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blinkwild import dataset
-from blinkwild.errors import (ManifestError, MissingAssetError,
+from blinkwild.errors import (AnnotationError, FrameFormatError,
+                              ManifestError, MissingAssetError,
                               NoVisibleEyeError, SplitViolationError)
 from conftest import frame_tags, make_annotation, tagged_clip
+from test_mslstm import CORRUPTIONS, corrupt
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +303,66 @@ def test_annotations_round_trip(tmp_path):
     path = str(tmp_path / "annotations.csv")
     dataset.save_annotations(path, records)
     assert dataset.load_annotations(path) == records
+
+
+@pytest.mark.parametrize("data, says", [
+    (b"P5\n7 5\n255\n" + bytes(34), "truncated"),
+    (b"P5\n# no newline", "comment"),
+    (b"P5\n7 five\n255\n" + bytes(35), "non-integer"),
+    (b"P5\n-7 -5\n255\n", "size"),
+    (b"P5\n7 5\n65535\n" + bytes(70), "maxval"),
+    (b"P2\n7 5\n255\n" + bytes(35), "PGM"),
+])
+def test_pgm_errors_name_the_file(tmp_path, data, says):
+    path = tmp_path / "f.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FrameFormatError) as exc:
+        dataset.read_pgm(str(path))
+    assert str(exc.value).startswith(f"{path}: ") and says in str(exc.value)
+
+
+_ROW = "0,5.0,5.0,30.0,30.0,12.0,20.0,27.0,20.0"
+
+
+@pytest.mark.parametrize("rows, says", [
+    ([_ROW, _ROW[:_ROW.rindex(",")]], ":3: expected 9 fields, got 8"),
+    ([_ROW.replace("30.0", "thirty", 1)], ":2: non-numeric"),
+    ([_ROW.replace("30.0", "nan", 1)], ":2: non-finite"),
+    ([_ROW, "", "3,1"], ":4: expected 9 fields, got 2"),
+], ids=["short", "text", "nan", "stub"])
+def test_annotation_row_errors_name_file_and_line(tmp_path, rows, says):
+    path = tmp_path / "annotations.csv"
+    path.write_text("\n".join([",".join(dataset.ANNOTATION_HEADER), *rows]))
+    with pytest.raises(AnnotationError) as exc:
+        dataset.load_annotations(str(path))
+    assert str(exc.value).startswith(f"{path}{says}")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=CORRUPTIONS)
+def test_read_pgm_fuzz_reads_or_names_path(tmp_path_factory, corruption):
+    path = tmp_path_factory.mktemp("fuzz") / "f.pgm"
+    dataset.write_pgm(str(path), np.arange(35, dtype=np.uint8).reshape(5, 7))
+    corrupt(path, corruption)
+    try:
+        frame = dataset.read_pgm(str(path))
+    except FrameFormatError as err:
+        assert str(path) in str(err)
+    else:
+        assert frame.dtype == np.uint8 and frame.ndim == 2 and frame.size
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=CORRUPTIONS)
+def test_load_annotations_fuzz_loads_or_names_path(tmp_path_factory,
+                                                   corruption):
+    path = tmp_path_factory.mktemp("fuzz") / "annotations.csv"
+    dataset.save_annotations(str(path), [make_annotation(0),
+                                         make_annotation(1, left=(-1, -1))])
+    corrupt(path, corruption)
+    try:
+        records = dataset.load_annotations(str(path))
+    except AnnotationError as err:
+        assert str(path) in str(err)
+    else:
+        assert all(isinstance(r, dataset.AnnotationRecord) for r in records)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blinkwild import dataset, features
-from blinkwild.errors import UndefinedCorrelationError
 
 
 # independent per-pixel reference for the 59-bin histogram
@@ -136,31 +135,34 @@ def test_uniform_lbp_and_resize_on_a_stack(rng):
 
 
 # ---------------------------------------------------------------------------
-# motion_feature
+# motion half of the feature steps
+
+
+def _motion(curr, prev):
+    return features.steps_from_histograms([prev, curr])[0, 59:]
 
 
 def test_motion_identical_zero(rng):
     h = features.uniform_lbp(rng.integers(0, 256, size=(8, 8)).astype(float))
-    assert np.array_equal(features.motion_feature(h, h), np.zeros(59))
+    assert np.array_equal(_motion(h, h), np.zeros(59))
 
 
 def test_motion_antisymmetric(rng):
     a = features.uniform_lbp(rng.integers(0, 256, size=(8, 8)).astype(float))
     b = features.uniform_lbp(rng.integers(0, 256, size=(8, 8)).astype(float))
-    assert np.allclose(features.motion_feature(a, b),
-                       -features.motion_feature(b, a))
+    assert np.allclose(_motion(a, b), -_motion(b, a))
 
 
 def test_motion_l1_bounded(rng):
     a = features.uniform_lbp(rng.integers(0, 256, size=(8, 8)).astype(float))
     b = features.uniform_lbp(rng.integers(0, 256, size=(8, 8)).astype(float))
-    assert np.abs(features.motion_feature(a, b)).sum() <= 2.0 + 1e-12
+    assert np.abs(_motion(a, b)).sum() <= 2.0 + 1e-12
 
 
 def test_motion_larger_across_eye_closure():
     _, hists = _synth_eye_hists(seed=2)
-    closing = np.abs(features.motion_feature(hists[5], hists[0])).sum()
-    open_pair = np.abs(features.motion_feature(hists[1], hists[0])).sum()
+    closing = np.abs(_motion(hists[5], hists[0])).sum()
+    open_pair = np.abs(_motion(hists[1], hists[0])).sum()
     assert closing > open_pair
 
 
@@ -179,14 +181,14 @@ def _regions_for(clip, eye="left"):
 
 def test_featurize_shape_10_frames():
     clip = dataset.synth_clip(0, dataset.LABEL_BLINK, 10)
-    steps = features.featurize_clip(clip, _regions_for(clip))
+    steps = features.featurize_frames(clip.frames, _regions_for(clip))
     assert steps.shape == (9, 118)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_featurize_length_property(n):
     clip = dataset.synth_clip(1, dataset.LABEL_NONBLINK, n)
-    steps = features.featurize_clip(clip, _regions_for(clip))
+    steps = features.featurize_frames(clip.frames, _regions_for(clip))
     assert steps.shape == (n - 1, 118)
 
 
@@ -259,57 +261,3 @@ def test_featurize_order_sensitive():
     rev = features.featurize_frames(clip.frames[::-1], regions[::-1])
     assert not np.allclose(fwd, rev)
 
-
-# ---------------------------------------------------------------------------
-# feature_correlation
-
-
-def test_correlation_identical_is_one(rng):
-    v = rng.uniform(0.1, 1.0, size=59)
-    assert np.isclose(features.feature_correlation(v, v), 1.0)
-
-
-def test_correlation_orthogonal_is_zero():
-    a = np.zeros(6)
-    b = np.zeros(6)
-    a[:3] = 1.0
-    b[3:] = 1.0
-    assert features.feature_correlation(a, b) == 0.0
-
-
-def test_correlation_symmetric_scale_invariant_bounded(rng):
-    for _ in range(20):
-        a = rng.normal(size=10)
-        b = rng.normal(size=10)
-        c_ab = features.feature_correlation(a, b)
-        assert np.isclose(c_ab, features.feature_correlation(b, a))
-        assert np.isclose(c_ab, features.feature_correlation(3.7 * a, b))
-        assert -1.0 - 1e-12 <= c_ab <= 1.0 + 1e-12
-
-
-def test_correlation_zero_vector_error():
-    with pytest.raises(UndefinedCorrelationError):
-        features.feature_correlation(np.zeros(5), np.ones(5))
-
-
-def test_correlation_dips_during_blink():
-    _, blink = _synth_eye_hists(seed=6, label=dataset.LABEL_BLINK)
-    _, still = _synth_eye_hists(seed=6, label=dataset.LABEL_NONBLINK)
-    blink_min = min(features.feature_correlation(blink[t], blink[t + 1])
-                    for t in range(9))
-    still_min = min(features.feature_correlation(still[t], still[t + 1])
-                    for t in range(9))
-    assert blink_min < still_min
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_feature_dump_round_trip(tmp_path, rng):
-    steps = rng.normal(size=(9, 118))
-    path = str(tmp_path / "f.bin")
-    features.write_features(path, steps)
-    back = features.read_features(path)
-    assert back.shape == (9, 118)
-    assert np.array_equal(back, steps.astype(np.float32).astype(np.float64))

@@ -319,6 +319,49 @@ def test_asoftmax_head_matches_per_sample_reference(rng):
     assert np.isclose(got[0], loss_rest * 8 / 9, rtol=1e-12)
 
 
+def reference_softmax_head(model, feats, labels):
+    """The per-sample loop the vectorized softmax head replaced."""
+    b = feats.shape[0]
+    w = model.head
+    dfeat = np.zeros_like(feats)
+    dhead = np.zeros_like(w)
+    total = 0.0
+    logits = feats @ w.T
+    for s in range(b):
+        loss, dl = mslstm.softmax_loss(logits[s], int(labels[s]))
+        total += loss
+        dfeat[s] = dl @ w
+        dhead += np.outer(dl, feats[s])
+    return total / b, dfeat / b, dhead / b
+
+
+def test_softmax_head_matches_per_sample_reference(rng):
+    model = tiny_model(hidden=3, scales=2)
+    feats = 4.0 * rng.normal(size=(9, 6))
+    feats[4] = 0.0
+    labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
+    got = mslstm._head_loss_and_grads(model, feats, labels, "softmax")
+    want = reference_softmax_head(model, feats, labels)
+    assert abs(got[0] - want[0]) < 1e-12
+    for g, r in zip(got[1:], want[1:]):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) < 1e-12
+
+
+def test_softmax_loss_batch_matches_rows(rng):
+    logits = 30.0 * rng.normal(size=(7, 2))
+    labels = rng.integers(0, 2, size=7)
+    loss, dlogits = mslstm.softmax_loss(logits, labels)
+    assert loss.shape == (7,) and dlogits.shape == (7, 2)
+    for k in range(7):
+        one_loss, one_dl = mslstm.softmax_loss(logits[k], int(labels[k]))
+        assert type(one_loss) is float
+        assert loss[k] == one_loss and np.array_equal(dlogits[k], one_dl)
+    logits[3, 1] = np.inf
+    with pytest.raises(ValueError):
+        mslstm.softmax_loss(logits, labels)
+
+
 def test_asoftmax_loss_array_matches_scalar(rng):
     r = rng.uniform(0.1, 5.0, size=7)
     cy, co = rng.uniform(-1, 1, size=(2, 7))
@@ -385,7 +428,7 @@ def test_learning_rate_schedule():
     assert cfg.learning_rate(3000) == 1e-3
     assert cfg.learning_rate(3001) == 1e-4
     assert cfg.learning_rate(30001) == 1e-5
-    assert (cfg.beta1, cfg.beta2) == (0.5, 0.9)
+    assert (mslstm.ADAM_BETA1, mslstm.ADAM_BETA2) == (0.5, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +522,15 @@ def test_model_bad_header_field_rejected(tmp_path, field, value):
         mslstm.load_model(str(path))
 
 
-_CORRUPTIONS = st.one_of(
+CORRUPTIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
     st.tuples(st.just("flip"), st.integers(0, 10 ** 6), st.integers(1, 255)),
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(corruption=_CORRUPTIONS)
-def test_load_model_fuzz_loads_or_names_path(tmp_path_factory, corruption):
-    path = tmp_path_factory.mktemp("fuzz") / "m.bin"
-    mslstm.save_model(str(path), tiny_model(input_dim=6, hidden=3, seed=9))
+def corrupt(path, corruption) -> bytes:
+    """Apply one CORRUPTIONS draw to the file at ``path``; returns the new
+    bytes."""
     data = bytearray(path.read_bytes())
     kind, *args = corruption
     if kind == "truncate":
@@ -499,6 +540,16 @@ def test_load_model_fuzz_loads_or_names_path(tmp_path_factory, corruption):
     else:
         data += args[0]
     path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=CORRUPTIONS)
+def test_load_model_fuzz_loads_or_names_path(tmp_path_factory, corruption):
+    path = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    mslstm.save_model(str(path), tiny_model(input_dim=6, hidden=3, seed=9))
+    data = corrupt(path, corruption)
+    kind = corruption[0]
     try:
         model = mslstm.load_model(str(path))
     except ModelFormatError as err:
@@ -506,7 +557,7 @@ def test_load_model_fuzz_loads_or_names_path(tmp_path_factory, corruption):
     else:
         assert kind == "flip"
         mslstm.save_model(str(path), model)
-        assert path.read_bytes() == bytes(data)
+        assert path.read_bytes() == data
 
 
 def test_predict_rejects_non_finite(rng):

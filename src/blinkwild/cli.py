@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -19,11 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import dataset, evaluation, features, mslstm, pipeline, tracker
+from . import dataset, evaluation, features, mslstm, pipeline
 from .errors import BlinkwildError, PredictionsError
 
 EYES = ("left", "right")
 PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence"}
+BENCH_STREAM_LEN = 50  # frames per synthetic stream that bench times
 
 
 def _max_workers() -> int:
@@ -53,12 +56,12 @@ def _closed_frame_index(clip: dataset.Clip) -> int:
     means = []
     for frame, rec in zip(clip.frames, clip.annotations):
         vals = []
-        for center in (rec.left_eye, rec.right_eye):
-            if center.visible:
-                h, w = dataset.eye_region(rec.left_eye, rec.right_eye,
-                                          rec.face_box)
-                vals.append(float(dataset.crop_eye(frame, center,
-                                                   (h, w)).mean()))
+        located = (rec.left_eye, rec.right_eye, rec.face_box)
+        for eye in EYES:
+            region = pipeline._region_for(eye, located)
+            if region is not None:
+                vals.append(float(dataset.crop_eye(
+                    frame, dataset.EyeCenter(*region[:2]), region[2:]).mean()))
         means.append(np.mean(vals) if vals else np.inf)
     return int(np.argmin(means))
 
@@ -204,8 +207,7 @@ def cmd_verify(args) -> int:
     for entry in manifest.split("test"):
         clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
         streams = pipeline.track_eyes(clip.frames,
-                                      pipeline.annotation_locator(clip),
-                                      track_thresh=args.track_thresh)
+                                      pipeline.annotation_locator(clip))
         verdicts = pipeline.verify_streams(clip.frames, streams, model)
         is_blink = entry.label == dataset.LABEL_BLINK
         for eye in EYES:
@@ -241,8 +243,7 @@ def cmd_detect(args) -> int:
     events = pipeline.detect_stream(
         clip.frames, pipeline.annotation_locator(clip), model,
         window=args.window, stride=args.stride,
-        conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh,
-        track_thresh=args.track_thresh)
+        conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh)
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["eye", "start", "end", "confidence"])
@@ -273,57 +274,44 @@ def cmd_eval(args) -> int:
                 raise PredictionsError(
                     f"{where}: clip {row['clip']!r} is not in manifest "
                     f"{args.manifest}")
-            outcomes[eye].append((float(row["confidence"]), truth[row["clip"]],
+            try:
+                confidence = float(row["confidence"])
+            except (TypeError, ValueError):  # TypeError: a short row
+                confidence = math.nan
+            if not math.isfinite(confidence):
+                raise PredictionsError(f"{where}: confidence "
+                                       f"{row['confidence']!r} is not a "
+                                       f"finite number")
+            outcomes[eye].append((confidence, truth[row["clip"]],
                                   row["label"] == dataset.LABEL_BLINK))
     _report(args, outcomes, {}, args.out)
     return 0
 
 
 def cmd_bench(args) -> int:
-    model = mslstm.load_model(args.model) if args.model else mslstm.init_model(
-        hidden=args.hidden, layers=args.layers, scales=args.scales,
-        margin=args.margin, seed=args.seed)
-    if args.manifest:
-        manifest = dataset.load_manifest(args.manifest)
-        clips = [dataset.load_clip(e.clip_dir, e.label, e.source_id)
-                 for e in manifest.entries[:8]]
-    else:
-        clips = [dataset.synth_clip(args.seed + i, dataset.LABEL_NONBLINK, 10)
-                 for i in range(8)]
-    warmup = 50
-    track_ms, feat_ms, infer_ms = [], [], []
-    prev_hist = None
-    window_steps = []
-    frames_done = 0
-    while frames_done < args.frames + warmup:
-        for clip in clips:
-            locator = pipeline.annotation_locator(clip)
-            located = locator(clip.frames[0], 0)
-            region = pipeline._region_for("left", located)
-            state = tracker.kcf_init(clip.frames[0], region)
-            for t in range(1, len(clip.frames)):
-                t0 = time.perf_counter()
-                state, result = tracker.kcf_update(state, clip.frames[t])
-                t1 = time.perf_counter()
-                hist = features.frame_histograms(
-                    [clip.frames[t]], [result.region])[0]
-                t2 = time.perf_counter()
-                if prev_hist is not None:
-                    window_steps.append(
-                        features.steps_from_histograms([prev_hist, hist])[0])
-                    if len(window_steps) > 9:
-                        window_steps.pop(0)
-                prev_hist = hist
-                t3 = time.perf_counter()
-                if len(window_steps) == 9:
-                    mslstm.predict(model, np.stack(window_steps))
-                t4 = time.perf_counter()
-                frames_done += 1
-                if frames_done > warmup:
-                    track_ms.append((t1 - t0) * 1e3)
-                    feat_ms.append((t2 - t1 + t3 - t2) * 1e3)
-                    infer_ms.append((t4 - t3) * 1e3)
-            if frames_done >= args.frames + warmup:
+    model = (mslstm.load_model(args.model) if args.model
+             else mslstm.init_model(seed=args.seed))
+    per_frame = {"tracking": [], "features": [], "inference": []}
+    frames_timed = 0
+    for i in itertools.count():  # stream 0 is an untimed warm-up
+        clip, _ = dataset.synth_stream(args.seed + i, BENCH_STREAM_LEN,
+                                       blink_center=BENCH_STREAM_LEN // 2)
+        t0 = time.perf_counter()
+        streams = pipeline.track_eyes(clip.frames,
+                                      pipeline.annotation_locator(clip))
+        t1 = time.perf_counter()
+        steps = [features.featurize_frames(clip.frames[:s.lost_from],
+                                           s.boxes[:s.lost_from])
+                 for s in streams.values()]
+        t2 = time.perf_counter()
+        for seq in steps:  # at detect's default window and stride
+            pipeline._window_confidences(model, seq, 10, 1)
+        t3 = time.perf_counter()
+        if i:
+            for stage, secs in zip(per_frame, (t1 - t0, t2 - t1, t3 - t2)):
+                per_frame[stage].append(secs * 1e3 / len(clip.frames))
+            frames_timed += len(clip.frames)
+            if frames_timed >= args.frames:
                 break
 
     def stats(xs):
@@ -331,8 +319,7 @@ def cmd_bench(args) -> int:
         return {"mean": statistics.fmean(xs), "median": xs[len(xs) // 2],
                 "p95": xs[int(0.95 * (len(xs) - 1))]}
 
-    table = {"tracking": stats(track_ms), "features": stats(feat_ms),
-             "inference": stats(infer_ms)}
+    table = {stage: stats(xs) for stage, xs in per_frame.items()}
     total_median = sum(v["median"] for v in table.values())
     for stage, v in table.items():
         print(f"{stage:10s} mean={v['mean']:.3f}ms median={v['median']:.3f}ms "
@@ -341,24 +328,13 @@ def cmd_bench(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"stages": table, "median_total_ms": total_median,
-                       "frames": len(track_ms),
+                       "frames": frames_timed,
                        "config_hash": _config_hash(args)}, f, indent=2)
             f.write("\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
-
-
-def _add_model_flags(p):
-    p.add_argument("--layers", type=int, default=2,
-                   help="stacked LSTM layer count (default 2)")
-    p.add_argument("--scales", type=int, default=2,
-                   help="trailing hidden states fed to the head (default 2)")
-    p.add_argument("--margin", type=int, default=4,
-                   help="angular margin m (default 4)")
-    p.add_argument("--hidden", type=int, default=64,
-                   help="hidden units per layer (default 64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,15 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--loss", choices=["softmax", "asoftmax"],
                    default="asoftmax")
-    _add_model_flags(p)
+    p.add_argument("--layers", type=int, default=2,
+                   help="stacked LSTM layer count (default 2)")
+    p.add_argument("--scales", type=int, default=2,
+                   help="trailing hidden states fed to the head (default 2)")
+    p.add_argument("--margin", type=int, default=4,
+                   help="angular margin m (default 4)")
+    p.add_argument("--hidden", type=int, default=64,
+                   help="hidden units per layer (default 64)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="per-clip verification on the test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--track-thresh", type=float, default=0.25,
-                   help="re-localization trigger score (default 0.25)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("detect", help="sliding-window detection on a stream")
@@ -414,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--conf-thresh", type=float, default=0.5)
     p.add_argument("--iou-thresh", type=float, default=0.33)
-    p.add_argument("--track-thresh", type=float, default=0.25)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score a predictions CSV against labels")
@@ -423,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report path prefix")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="per-stage latency")
-    p.add_argument("--manifest", help="clips to replay (default: synthetic)")
+    p = sub.add_parser("bench", help="per-frame latency of detect's stages "
+                                     "on synthetic streams")
     p.add_argument("--model", help="model file (default: fresh init)")
     p.add_argument("--frames", type=int, default=500,
-                   help="timed frames after 50-frame warmup (default 500)")
+                   help="frames to time after one warm-up stream "
+                        "(default 500)")
     p.add_argument("--out", help="optional JSON output")
-    _add_model_flags(p)
     p.set_defaults(func=cmd_bench)
     return parser
 

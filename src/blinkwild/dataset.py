@@ -330,32 +330,37 @@ def load_manifest(path: str) -> Manifest:
 
     Clip paths are resolved relative to the manifest file. Every referenced
     clip directory must exist and no source_id may straddle the splits.
+    A malformed manifest raises a ManifestError naming the file.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     seen: dict[str, str] = {}  # source_id -> split
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 tab fields")
-            clip_dir, label, split, source_id = parts
-            if label not in (LABEL_BLINK, LABEL_NONBLINK):
-                raise ManifestError(f"{path}:{lineno}: bad label {label!r}")
-            if split not in ("train", "test"):
-                raise ManifestError(f"{path}:{lineno}: bad split {split!r}")
-            resolved = clip_dir if os.path.isabs(clip_dir) else os.path.join(base, clip_dir)
-            if not os.path.isdir(resolved):
-                raise MissingAssetError(f"{path}:{lineno}: no clip at {resolved}")
-            prev = seen.get(source_id)
-            if prev is not None and prev != split:
-                raise SplitViolationError(
-                    f"{path}:{lineno}: source {source_id!r} in both splits")
-            seen[source_id] = split
-            entries.append(ManifestEntry(resolved, label, split, source_id))
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ManifestError(f"{path}:{lineno}: expected 4 tab fields")
+        clip_dir, label, split, source_id = parts
+        if label not in (LABEL_BLINK, LABEL_NONBLINK):
+            raise ManifestError(f"{path}:{lineno}: bad label {label!r}")
+        if split not in ("train", "test"):
+            raise ManifestError(f"{path}:{lineno}: bad split {split!r}")
+        resolved = clip_dir if os.path.isabs(clip_dir) else os.path.join(base, clip_dir)
+        if not os.path.isdir(resolved):
+            raise MissingAssetError(f"{path}:{lineno}: no clip at {resolved}")
+        prev = seen.get(source_id)
+        if prev is not None and prev != split:
+            raise SplitViolationError(
+                f"{path}:{lineno}: source {source_id!r} in both splits")
+        seen[source_id] = split
+        entries.append(ManifestEntry(resolved, label, split, source_id))
     return Manifest(entries=entries)
 
 

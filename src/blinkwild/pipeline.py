@@ -78,9 +78,8 @@ def _region_for(eye_name: str, located) -> tuple | None:
     return (center.x, center.y, float(h), float(w))
 
 
-def _track_one_eye(frames, locator: EyeLocator, eye_name: str,
-                   params: tracker.KcfParams,
-                   track_thresh: float) -> TrackedStream:
+def _track_one_eye(frames, locator: EyeLocator,
+                   eye_name: str) -> TrackedStream:
     """Track one eye; a track that cannot start or leaves the frame ends
     there, with no box from that frame on."""
     n = len(frames)
@@ -91,18 +90,18 @@ def _track_one_eye(frames, locator: EyeLocator, eye_name: str,
     try:
         if region is None:
             raise TrackLostError("eye not located in the first frame")
-        state = tracker.kcf_init(frames[0], region, params)
+        state = tracker.kcf_init(frames[0], region)
         stream.boxes.append(region)
         stream.scores.append(1.0)
         for t in range(1, n):
             state, result = tracker.kcf_update(state, frames[t])
             score = result.score
-            if score < track_thresh:
+            if score < TRACK_THRESH:
                 stream.reloc_indices.append(t)
                 located = locator(frames[t], t)
                 fresh = _region_for(eye_name, located) if located else None
                 if fresh is not None:
-                    state = tracker.kcf_init(frames[t], fresh, params)
+                    state = tracker.kcf_init(frames[t], fresh)
                     stream.boxes.append(fresh)
                     stream.scores.append(score)
                     continue
@@ -116,16 +115,11 @@ def _track_one_eye(frames, locator: EyeLocator, eye_name: str,
     return stream
 
 
-def track_eyes(frames, locator: EyeLocator,
-               params: tracker.KcfParams | None = None,
-               track_thresh: float = TRACK_THRESH
-               ) -> dict[str, TrackedStream]:
+def track_eyes(frames, locator: EyeLocator) -> dict[str, TrackedStream]:
     """Track both eyes independently over the frame list."""
     if not frames:
         raise ValueError("need at least one frame")
-    params = params or tracker.KcfParams()
-    return {eye: _track_one_eye(frames, locator, eye, params, track_thresh)
-            for eye in EYES}
+    return {eye: _track_one_eye(frames, locator, eye) for eye in EYES}
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,10 @@ class EyeVerdict:
     lost: bool
 
 
-def verify_clip(clip: Clip, locator: EyeLocator, model: mslstm.MsLstmModel,
-                params: tracker.KcfParams | None = None,
-                track_thresh: float = TRACK_THRESH) -> dict[str, EyeVerdict]:
+def verify_clip(clip: Clip, locator: EyeLocator,
+                model: mslstm.MsLstmModel) -> dict[str, EyeVerdict]:
     """Per-eye blink verdict for a fixed-length clip: track, then verify."""
-    streams = track_eyes(clip.frames, locator, params, track_thresh)
+    streams = track_eyes(clip.frames, locator)
     return verify_streams(clip.frames, streams, model)
 
 
@@ -191,11 +184,26 @@ def temporal_nms(proposals: list[BlinkEvent],
     return kept
 
 
+def _window_confidences(model: mslstm.MsLstmModel, steps: np.ndarray,
+                        window: int, stride: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Start frame and blink confidence of every ``window``-frame window
+    over one track's feature steps, ``WINDOW_BATCH`` windows per
+    ``predict`` call. Window s reads steps s .. s+window-2."""
+    starts = np.arange(0, len(steps) - window + 2, stride)
+    offsets = np.arange(window - 1)
+    confs = np.empty(starts.size)
+    for lo in range(0, starts.size, WINDOW_BATCH):
+        chunk = starts[lo:lo + WINDOW_BATCH]
+        _, confs[lo:lo + chunk.size] = mslstm.predict(
+            model, steps[chunk[:, None] + offsets])
+    return starts, confs
+
+
 def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
                   window: int = 10, stride: int = 1,
-                  conf_thresh: float = 0.5, iou_thresh: float = 0.33,
-                  params: tracker.KcfParams | None = None,
-                  track_thresh: float = TRACK_THRESH) -> list[BlinkEvent]:
+                  conf_thresh: float = 0.5,
+                  iou_thresh: float = 0.33) -> list[BlinkEvent]:
     """Sliding-window blink detection over an untrimmed stream.
 
     One tracked stream per eye spans the whole video; its frames are
@@ -216,23 +224,16 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     n = len(frames)
     if n < window:
         raise ValueError(f"stream of {n} frames shorter than window {window}")
-    streams = track_eyes(frames, locator, params, track_thresh)
+    streams = track_eyes(frames, locator)
     events: list[BlinkEvent] = []
     for eye, stream in streams.items():
         tracked = n if stream.lost_from is None else stream.lost_from
-        starts = np.arange(0, tracked - window + 1, stride)
         proposals = []
-        if starts.size:
-            # window s reads steps s .. s+window-2 of the whole track
-            steps = features.steps_from_histograms(features.frame_histograms(
-                frames[:tracked], stream.boxes[:tracked]))
-            offsets = np.arange(window - 1)
-            for lo in range(0, starts.size, WINDOW_BATCH):
-                chunk = starts[lo:lo + WINDOW_BATCH]
-                _, confs = mslstm.predict(
-                    model, steps[chunk[:, None] + offsets])
-                proposals.extend(
-                    BlinkEvent(int(s), int(s) + window - 1, float(c), eye)
-                    for s, c in zip(chunk, confs) if c >= conf_thresh)
+        if tracked >= window:
+            steps = features.featurize_frames(frames[:tracked],
+                                              stream.boxes[:tracked])
+            starts, confs = _window_confidences(model, steps, window, stride)
+            proposals = [BlinkEvent(int(s), int(s) + window - 1, float(c), eye)
+                         for s, c in zip(starts, confs) if c >= conf_thresh]
         events.extend(temporal_nms(proposals, iou_thresh))
     return sorted(events, key=lambda e: (e.start, EYES.index(e.eye)))

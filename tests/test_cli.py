@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -65,15 +66,25 @@ def test_help_snapshot(sub, capsys):
         "polish": ["--manifest", "--out", "--target-len"],
         "train": ["--manifest", "--model", "--steps", "--loss",
                   "--layers", "--scales", "--margin", "--hidden"],
-        "verify": ["--manifest", "--model", "--out", "--track-thresh"],
+        "verify": ["--manifest", "--model", "--out"],
         "detect": ["--frames", "--model", "--out", "--window", "--stride",
-                   "--conf-thresh", "--iou-thresh", "--track-thresh"],
+                   "--conf-thresh", "--iou-thresh"],
         "eval": ["--predictions", "--manifest", "--out"],
         "bench": ["--frames", "--model", "--out"],
     }
     for flag in expected_flags[sub]:
         assert flag in text
     assert "--patch" not in text  # the LBP patch is features.PATCH_SIZE
+    # the KCF re-localization trigger is pipeline.TRACK_THRESH, and bench
+    # times synthetic streams on the given or a default model
+    absent_flags = {
+        "verify": ["--track-thresh"],
+        "detect": ["--track-thresh"],
+        "bench": ["--manifest", "--hidden", "--layers", "--scales",
+                  "--margin"],
+    }
+    for flag in absent_flags.get(sub, []):
+        assert flag not in text
 
 
 def test_synth_counts_and_balance(small_dataset):
@@ -100,6 +111,22 @@ def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", tmp_path / "p1" / "manifest.tsv",
                 "--out", tmp_path / "p2"]) == 0
     assert _same_tree(str(tmp_path / "p1"), str(tmp_path / "p2"))
+
+
+@pytest.mark.parametrize("length", [10, 13, 16])
+def test_closed_frame_index_is_minimum_aperture(length):
+    # synth_clip closes a blink clip's eyes fully at its middle frame
+    hidden = dataset.EyeCenter.invisible()
+    for seed in range(4):
+        clip = dataset.synth_clip(seed, dataset.LABEL_BLINK, length)
+        assert cli._closed_frame_index(clip) == length // 2
+        # one eye invisible in most frames, the middle one among them
+        # for lengths 10 and 13
+        clip.annotations = [
+            dataclasses.replace(rec, left_eye=hidden) if t % 2
+            else dataclasses.replace(rec, right_eye=hidden) if t % 3 == 0
+            else rec for t, rec in enumerate(clip.annotations)]
+        assert cli._closed_frame_index(clip) == length // 2
 
 
 def test_train_outputs(small_dataset, small_model, tmp_path):
@@ -168,6 +195,27 @@ def test_bench_json(small_model, tmp_path):
     assert data["median_total_ms"] > 0
 
 
+def test_bench_times_the_pipeline_stages(small_model, tmp_path, monkeypatch):
+    calls = {"track_eyes": 0, "_window_confidences": 0}
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    out = tmp_path / "bench.json"
+    assert run(["bench", "--model", small_model, "--frames", 60,
+                "--out", out]) == 0
+    # one warm-up stream, then two timed streams of 50 frames
+    assert json.loads(out.read_text())["frames"] == 100
+    assert calls == {"track_eyes": 3, "_window_confidences": 6}
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     assert run(["train", "--manifest", tmp_path / "missing.tsv",
                 "--model", tmp_path / "m.bin"]) == 1
@@ -199,6 +247,12 @@ def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
     ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
      "{clip},middle,blink,0.9,0\n", [":3:", "middle"]),
     ("clip,eye,label\n{clip},left,blink\n", ["confidence"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,abc,0\n",
+     [":2:", "confidence", "abc"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,nan,0\n",
+     [":2:", "confidence", "nan"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink\n",
+     [":2:", "confidence"]),
 ])
 def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
                                                 capsys, rows, names):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from blinkwild import dataset
-from blinkwild.errors import (AnnotationError, FrameFormatError,
-                              ManifestError, MissingAssetError,
-                              NoVisibleEyeError, SplitViolationError)
+from blinkwild.errors import (AnnotationError, BlinkwildError,
+                              FrameFormatError, ManifestError,
+                              MissingAssetError, NoVisibleEyeError,
+                              SplitViolationError)
 from conftest import frame_tags, make_annotation, tagged_clip
 from test_mslstm import CORRUPTIONS, corrupt
 
@@ -76,6 +77,28 @@ def test_manifest_round_trip(tmp_path):
     path = str(tmp_path / "m.tsv")
     dataset.write_manifest(path, entries)
     assert dataset.load_manifest(path).entries == entries
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=CORRUPTIONS)
+def test_load_manifest_fuzz_loads_or_names_path(tmp_path_factory, corruption):
+    root = tmp_path_factory.mktemp("fuzz")
+    entries = [dataset.ManifestEntry(str(root / name), label, split, name)
+               for name, label, split in (("a", "blink", "train"),
+                                          ("b", "nonblink", "train"),
+                                          ("c", "blink", "test"))]
+    for entry in entries:
+        os.makedirs(entry.clip_dir)  # load_manifest checks only the dirs
+    path = root / "manifest.tsv"
+    dataset.write_manifest(str(path), entries)
+    corrupt(path, corruption)
+    try:
+        manifest = dataset.load_manifest(str(path))
+    except BlinkwildError as err:
+        assert str(path) in str(err)
+    else:
+        assert all(isinstance(e, dataset.ManifestEntry)
+                   for e in manifest.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -259,31 +259,35 @@ def cmd_eval(args) -> int:
     for entry in manifest.entries:
         truth[entry.source_id] = entry.label == dataset.LABEL_BLINK
     outcomes = {eye: [] for eye in EYES}
-    with open(args.predictions, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = PREDICTION_COLUMNS - set(reader.fieldnames or ())
-        if missing:
-            raise PredictionsError(f"{args.predictions}: missing columns "
-                                   f"{sorted(missing)}")
-        for row in reader:
-            where = f"{args.predictions}:{reader.line_num}"
-            eye = row["eye"]
-            if eye not in outcomes:
-                raise PredictionsError(f"{where}: unknown eye {eye!r}")
-            if row["clip"] not in truth:
-                raise PredictionsError(
-                    f"{where}: clip {row['clip']!r} is not in manifest "
-                    f"{args.manifest}")
-            try:
-                confidence = float(row["confidence"])
-            except (TypeError, ValueError):  # TypeError: a short row
-                confidence = math.nan
-            if not math.isfinite(confidence):
-                raise PredictionsError(f"{where}: confidence "
-                                       f"{row['confidence']!r} is not a "
-                                       f"finite number")
-            outcomes[eye].append((confidence, truth[row["clip"]],
-                                  row["label"] == dataset.LABEL_BLINK))
+    try:
+        with open(args.predictions, newline="") as f:
+            reader = csv.DictReader(f)
+            missing = PREDICTION_COLUMNS - set(reader.fieldnames or ())
+            if missing:
+                raise PredictionsError(f"{args.predictions}: missing columns "
+                                       f"{sorted(missing)}")
+            for row in reader:
+                where = f"{args.predictions}:{reader.line_num}"
+                eye = row["eye"]
+                if eye not in outcomes:
+                    raise PredictionsError(f"{where}: unknown eye {eye!r}")
+                if row["clip"] not in truth:
+                    raise PredictionsError(
+                        f"{where}: clip {row['clip']!r} is not in manifest "
+                        f"{args.manifest}")
+                try:
+                    confidence = float(row["confidence"])
+                except (TypeError, ValueError):  # TypeError: a short row
+                    confidence = math.nan
+                if not 0.0 <= confidence <= 1.0:
+                    raise PredictionsError(f"{where}: confidence "
+                                           f"{row['confidence']!r} is not a "
+                                           f"number in [0, 1]")
+                outcomes[eye].append((confidence, truth[row["clip"]],
+                                      row["label"] == dataset.LABEL_BLINK))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise PredictionsError(f"{args.predictions}: not a readable CSV "
+                               f"({exc})") from None
     _report(args, outcomes, {}, args.out)
     return 0
 

@@ -3,9 +3,10 @@
 An EyeLocator supplies per-frame eye centers and a face box (in production
 that would be a face-parsing engine; here an annotation-backed locator
 stands in). KCF propagates each eye region frame to frame; when the
-tracking score drops below a threshold the locator is re-invoked. Fixed
-windows slide over untrimmed streams and the classifier's blink confidence
-per window feeds greedy temporal non-maximum suppression.
+tracking score drops below a threshold the locator is re-invoked, and the
+filter is retrained only on a frame whose track is kept. Fixed windows
+slide over untrimmed streams and the classifier's blink confidence per
+window feeds greedy temporal non-maximum suppression.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def _track_one_eye(frames, locator: EyeLocator,
                     stream.scores.append(score)
                     continue
                 # locator failed: keep the tracker's best guess
+            state = tracker.kcf_adapt(state, frames[t])
             stream.boxes.append(result.region)
             stream.scores.append(score)
     except TrackLostError:

@@ -5,14 +5,18 @@ shifts of the target patch, solved in the Fourier domain. The model (the
 template and the dual coefficients) is kept as ``rfft2`` spectra, as in
 Henriques et al., "High-Speed Tracking with Kernelized Correlation Filters"
 (TPAMI 2015): each new patch is transformed once, and the learning-rate blend
-runs on the spectra. The region size is fixed for the lifetime of a track;
-the peak of the real response map is exposed as the tracking score so
-callers can trigger re-localization.
+runs on the spectra. An update only locates the target (``kcf_update``); the
+retrain and blend (``kcf_adapt``) is a separate step a caller runs only on a
+track it keeps. The region size is fixed for the lifetime of a track; the
+peak of the real response map is exposed as the tracking score so callers can
+trigger re-localization. The Hann window and target spectrum are built once
+per padded size and shared, read-only, by every track of that size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +41,8 @@ class KcfState:
     window: np.ndarray = field(repr=False)     # Hann window, patch shape
     y_hat: np.ndarray = field(repr=False)      # rfft2 of target response
     params: KcfParams = field(default_factory=KcfParams)
+    # (spectrum, energy) of the last probe when the region did not move
+    probe: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,15 @@ def _padded_size(region, padding) -> tuple[int, int]:
     return max(4, int(round(h * padding))), max(4, int(round(w * padding)))
 
 
-def _extract(frame: np.ndarray, region, size) -> np.ndarray:
+def _check_inside(frame: np.ndarray, region) -> None:
     cx, cy = region[0], region[1]
     if (cx < 0 or cy < 0 or cx >= frame.shape[1] or cy >= frame.shape[0]):
         raise TrackLostError(f"region center {(cx, cy)} left the frame")
+
+
+def _extract(frame: np.ndarray, region, size) -> np.ndarray:
+    _check_inside(frame, region)
+    cx, cy = region[0], region[1]
     patch = crop_eye(frame, EyeCenter(cx, cy), size).astype(np.float64)
     return patch / 255.0
 
@@ -115,6 +126,17 @@ def _target_response(size: tuple[int, int], params: KcfParams) -> np.ndarray:
     return np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma ** 2))
 
 
+@lru_cache(maxsize=64)
+def _size_constants(size: tuple[int, int], params: KcfParams
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Hann window and target spectrum ``y_hat`` of a padded
+    size."""
+    window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
+    y_hat = np.fft.rfft2(_target_response(size, params))
+    window.flags.writeable = y_hat.flags.writeable = False
+    return window, y_hat
+
+
 def _train(x_hat: np.ndarray, x_energy: float, y_hat: np.ndarray,
            shape: tuple[int, int], params: KcfParams) -> np.ndarray:
     """Dual coefficients of the ridge regression on patch x, rfft2 domain."""
@@ -131,8 +153,7 @@ def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
     if raw_h * raw_w < 16:
         raise ValueError("padded region area below 16 px")
     size = _padded_size(region, params.padding)
-    window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
-    y_hat = np.fft.rfft2(_target_response(size, params))
+    window, y_hat = _size_constants(size, params)
     template = _preprocess(_extract(frame, region, size), window)
     template_hat = np.fft.rfft2(template)
     alpha_hat = _train(template_hat, np.sum(template * template), y_hat,
@@ -148,13 +169,12 @@ def _unwrap(idx: int, n: int) -> int:
 
 def kcf_update(state: KcfState,
                frame: np.ndarray) -> tuple[KcfState, TrackResult]:
-    """Locate the target in ``frame`` and adapt the filter.
+    """Locate the target in ``frame``; the filter is not retrained.
 
     The response map is evaluated at the previous region; the argmax
-    displacement (circular shifts unwrapped to [-N/2, N/2)) moves the region,
-    after which the filter is retrained there and blended with rate
-    ``interp`` (interp=0 keeps the initial model unchanged). The blend runs
-    on the spectra, which equals the spectrum of the blended template.
+    displacement (circular shifts unwrapped to [-N/2, N/2)) moves the region.
+    With ``interp`` > 0 a moved center outside the frame raises
+    TrackLostError, since ``kcf_adapt`` could not crop there.
     """
     p = state.params
     size = state.window.shape
@@ -167,24 +187,34 @@ def kcf_update(state: KcfState,
     peak = np.unravel_index(int(np.argmax(response)), response.shape)
     dy = _unwrap(peak[0], size[0])
     dx = _unwrap(peak[1], size[1])
-    score = float(response[peak])
-
     cx, cy, h, w = state.region
     new_region = (cx + dx, cy + dy, h, w)
-    new_state = replace(state, region=new_region)
-    if p.interp > 0.0:
-        if dx or dy:
-            fresh = _preprocess(_extract(frame, new_region, size),
-                                state.window)
-            fresh_hat = np.fft.rfft2(fresh)
-            fresh_energy = np.sum(fresh * fresh)
-        else:  # the region did not move: the probe is the training patch
-            fresh_hat, fresh_energy = probe_hat, probe_energy
-        template_hat = ((1 - p.interp) * state.template_hat
-                        + p.interp * fresh_hat)
-        alpha_hat = ((1 - p.interp) * state.alpha_hat
-                     + p.interp * _train(fresh_hat, fresh_energy,
-                                         state.y_hat, size, p))
-        new_state = replace(new_state, template_hat=template_hat,
-                            alpha_hat=alpha_hat)
-    return new_state, TrackResult(region=new_region, score=score)
+    moved = bool(dx or dy)
+    if moved and p.interp > 0.0:
+        _check_inside(frame, new_region)
+    new_state = replace(state, region=new_region,
+                        probe=None if moved else (probe_hat, probe_energy))
+    return new_state, TrackResult(region=new_region,
+                                  score=float(response[peak]))
+
+
+def kcf_adapt(state: KcfState, frame: np.ndarray) -> KcfState:
+    """Retrain the filter at the region ``kcf_update`` just found in
+    ``frame`` and blend it in with rate ``interp`` (interp=0 keeps the
+    initial model unchanged). The blend runs on the spectra, which equals
+    the spectrum of the blended template."""
+    p = state.params
+    if p.interp <= 0.0:
+        return state
+    size = state.window.shape
+    if state.probe is None:
+        fresh = _preprocess(_extract(frame, state.region, size), state.window)
+        fresh_hat, fresh_energy = np.fft.rfft2(fresh), np.sum(fresh * fresh)
+    else:  # the region did not move: the probe is the training patch
+        fresh_hat, fresh_energy = state.probe
+    template_hat = (1 - p.interp) * state.template_hat + p.interp * fresh_hat
+    alpha_hat = ((1 - p.interp) * state.alpha_hat
+                 + p.interp * _train(fresh_hat, fresh_energy, state.y_hat,
+                                     size, p))
+    return replace(state, template_hat=template_hat, alpha_hat=alpha_hat,
+                   probe=None)

@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
 import filecmp
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
 
 from blinkwild import cli, dataset, pipeline
+from test_mslstm import CORRUPTIONS, corrupt
 
 
 def run(args):
@@ -253,12 +257,19 @@ def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
      [":2:", "confidence", "nan"]),
     ("clip,eye,label,confidence,lost\n{clip},left,blink\n",
      [":2:", "confidence"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,1.5,0\n",
+     [":2:", "confidence", "1.5"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,-0.1,0\n",
+     [":2:", "confidence", "-0.1"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n\udcff\n",
+     ["not a readable CSV"]),
 ])
 def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
                                                 capsys, rows, names):
     man = dataset.load_manifest(str(small_dataset / "manifest.tsv"))
     preds = tmp_path / "preds.csv"
-    preds.write_text(rows.format(clip=man.entries[0].source_id))
+    preds.write_bytes(rows.format(clip=man.entries[0].source_id)
+                      .encode("utf-8", "surrogateescape"))
     assert run(["eval", "--predictions", preds, "--manifest",
                 small_dataset / "manifest.tsv",
                 "--out", tmp_path / "rescore"]) == 1
@@ -267,6 +278,32 @@ def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
     assert err[0].startswith(f"error: {preds}")
     for name in names:
         assert name in err[0]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(corruption=CORRUPTIONS)
+def test_eval_fuzz_scores_or_names_path(small_dataset, tmp_path_factory,
+                                        corruption):
+    manifest = small_dataset / "manifest.tsv"
+    clips = [e.source_id for e in dataset.load_manifest(str(manifest))
+             .split("test")]
+    root = tmp_path_factory.mktemp("fuzz")
+    preds = root / "predictions.csv"
+    preds.write_text("clip,eye,label,confidence,lost\n" + "".join(
+        f"{clip},{eye},blink,0.{i}{j},0\n" for i, clip in enumerate(clips)
+        for j, eye in enumerate(pipeline.EYES)))
+    corrupt(preds, corruption)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(["eval", "--predictions", preds, "--manifest", manifest,
+                    "--out", root / "report"])
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {preds}")
+    else:
+        assert lines == [] and (root / "report.json").exists()
 
 
 def test_detect_truncated_annotations_is_one_line_error(small_model,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from blinkwild import dataset, features, mslstm, pipeline
+from blinkwild import dataset, features, mslstm, pipeline, tracker
+from blinkwild.errors import TrackLostError
 from conftest import tiny_model
-from test_tracker import smooth_image
+from test_tracker import full_update, smooth_image
 
 
 def reference_nms(proposals, iou_thresh):
@@ -140,6 +141,126 @@ def test_detect_scores_only_tracked_windows(monkeypatch):
     assert pipeline.detect_stream(frames, locate, model) == []
     # left: lost at 7, no whole window, no call; right: starts 0..6 of 16
     assert calls == [(7, 9, 118)]
+
+
+def reference_track_one_eye(frames, locator, eye):
+    """Tracking as one full update (locate, then retrain) per frame, the
+    retrained state thrown away when the frame re-localizes."""
+    n = len(frames)
+    boxes, scores, relocs = [], [], []
+    located = locator(frames[0], 0)
+    region = pipeline._region_for(eye, located) if located else None
+    t = 0
+    try:
+        if region is None:
+            raise TrackLostError("not located")
+        state = tracker.kcf_init(frames[0], region)
+        boxes.append(region)
+        scores.append(1.0)
+        for t in range(1, n):
+            state, result = full_update(state, frames[t])
+            box = result.region
+            if result.score < pipeline.TRACK_THRESH:
+                relocs.append(t)
+                located = locator(frames[t], t)
+                fresh = pipeline._region_for(eye, located) if located else None
+                if fresh is not None:
+                    state = tracker.kcf_init(frames[t], fresh)
+                    box = fresh
+            boxes.append(box)
+            scores.append(result.score)
+    except TrackLostError:
+        boxes += [None] * (n - t)
+        scores += [0.0] * (n - t)
+        return pipeline.TrackedStream(boxes, scores, relocs, t)
+    return pipeline.TrackedStream(boxes, scores, relocs, None)
+
+
+def assert_tracks_match_reference(frames, locator):
+    streams = pipeline.track_eyes(frames, locator)
+    for eye, stream in streams.items():
+        assert stream == reference_track_one_eye(frames, locator, eye)
+    return streams
+
+
+def _clip_frames_and_locator(kind, seed):
+    if kind == "stream":
+        clip, _ = dataset.synth_stream(seed, 60, blink_center=30)
+    else:
+        label = (dataset.LABEL_BLINK, dataset.LABEL_NONBLINK)[seed % 2]
+        clip = dataset.synth_clip(seed, label, 10)
+    return list(clip.frames), pipeline.annotation_locator(clip)
+
+
+@pytest.mark.parametrize("kind, seed", [("stream", s) for s in range(3)]
+                         + [("clip", s) for s in range(8)])
+def test_track_matches_full_update_reference(kind, seed):
+    frames, locate = _clip_frames_and_locator(kind, seed)
+    streams = assert_tracks_match_reference(frames, locate)
+    assert any(s.reloc_indices for s in streams.values())
+
+
+def test_track_matches_reference_on_noise_frame():
+    frames, locate = _clip_frames_and_locator("clip", 5)
+    frames[5] = np.random.default_rng(0).integers(
+        0, 256, size=frames[5].shape).astype(np.uint8)
+    streams = assert_tracks_match_reference(frames, locate)
+    assert all(5 in s.reloc_indices for s in streams.values())
+
+
+def test_track_matches_reference_when_locator_fails():
+    """Every odd frame the locator finds nothing, so low-score frames there
+    keep (and retrain) the tracker's own state."""
+    clip, _ = dataset.synth_stream(4, 40, blink_center=20)
+    base = pipeline.annotation_locator(clip)
+    frames = list(clip.frames)
+    locate = lambda frame, i: None if i % 2 else base(frame, i)
+    streams = assert_tracks_match_reference(frames, locate)
+    kept = [t for s in streams.values() for t in s.reloc_indices if t % 2]
+    assert kept
+
+
+def test_track_retrains_only_kept_frames(monkeypatch):
+    frames, locate = _clip_frames_and_locator("clip", 1)
+    adapted = []
+    adapt = tracker.kcf_adapt
+    monkeypatch.setattr(tracker, "kcf_adapt",
+                        lambda state, frame: adapted.append(1)
+                        or adapt(state, frame))
+    streams = pipeline.track_eyes(frames, locate)
+    relocs = sum(len(s.reloc_indices) for s in streams.values())
+    assert relocs
+    assert len(adapted) == 2 * (len(frames) - 1) - relocs
+
+
+def test_track_matches_reference_when_shift_leaves_frame():
+    """Noise frames move the left track by a random peak; the locator
+    always finds the eye, yet a move out of the frame still ends the
+    track on the frame that would have re-localized."""
+    rng = np.random.default_rng(1)
+    frames = [smooth_image(rng)] + [
+        rng.integers(0, 256, size=(96, 96)).astype(np.uint8)
+        for _ in range(11)]
+    eyes = (dataset.EyeCenter(3.0, 48.0), dataset.EyeCenter(43.0, 48.0),
+            (0, 20, 96, 60))
+    locate = lambda frame, i: eyes
+    streams = assert_tracks_match_reference(frames, locate)
+    left = streams["left"]
+    assert left.lost_from is not None
+    assert left.reloc_indices == list(range(1, left.lost_from))
+
+
+def test_track_matches_reference_eye_invisible_at_start():
+    clip = dataset.synth_clip(6, dataset.LABEL_BLINK, 10)
+    base = pipeline.annotation_locator(clip)
+
+    def late_left(frame, i):
+        left, right, face = base(frame, i)
+        return (left if i else dataset.EyeCenter.invisible()), right, face
+
+    streams = assert_tracks_match_reference(list(clip.frames), late_left)
+    assert streams["left"].lost_from == 0
+    assert streams["right"].lost_from is None
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@ def test_dft_round_trip(rng):
 # init / update
 
 
+def full_update(state, frame):
+    """Locate, then retrain on every frame: the tracker's full update."""
+    state, result = tracker.kcf_update(state, frame)
+    return tracker.kcf_adapt(state, frame), result
+
+
 def test_self_detection_score_near_one(rng):
     frame = smooth_image(rng)
     region = (48.0, 48.0, 20.0, 20.0)
@@ -223,7 +229,7 @@ def test_spectral_model_matches_spatial_reference(rng):
             else:
                 total = np.clip(total + rng.integers(-4, 5, size=2), -25, 25)
                 frame = np.roll(base, (total[0], total[1]), axis=(0, 1))
-            fast, result = tracker.kcf_update(fast, frame)
+            fast, result = full_update(fast, frame)
             ref, ref_region, ref_score = reference_update(ref, frame)
             assert result.region == ref_region
             assert abs(result.score - ref_score) < 1e-9
@@ -241,3 +247,90 @@ def test_spectral_model_matches_spatial_reference(rng):
         n = ref["template"].size
         assert np.max(np.abs(fast.template_hat
                              - np.fft.rfft2(ref["template"]))) < 1e-9 * n
+
+
+def test_adapt_matches_spatial_reference(rng):
+    """Changing content with no re-localization, so every retrain counts;
+    the region both stays (the probe is reused) and moves."""
+    base = smooth_image(rng, (128, 128))
+    params = tracker.KcfParams(interp=0.2)
+    region = (64.0, 64.0, 20.0, 20.0)
+    fast = tracker.kcf_init(base, region, params)
+    ref = reference_init(base, region, params)
+    total = np.array([0, 0])
+    moved = stayed = 0
+    for t in range(30):
+        if t % 2:
+            total = np.clip(total + rng.integers(-3, 4, size=2), -20, 20)
+        frame = np.clip(np.roll(base, tuple(total), axis=(0, 1))
+                        + rng.normal(0, 12, base.shape), 0, 255)
+        before = fast.region
+        fast, result = full_update(fast, frame)
+        ref, ref_region, ref_score = reference_update(ref, frame)
+        assert result.region == ref_region
+        assert abs(result.score - ref_score) < 1e-9
+        moved += result.region != before
+        stayed += result.region == before
+    assert moved and stayed
+    n = ref["template"].size
+    assert np.max(np.abs(fast.template_hat
+                         - np.fft.rfft2(ref["template"]))) < 1e-9 * n
+    alpha_ref = ref["alpha_hat"][:, :fast.alpha_hat.shape[1]]
+    assert np.max(np.abs(fast.alpha_hat - alpha_ref)) < 1e-6 * np.max(
+        np.abs(alpha_ref))
+
+
+def test_update_locates_without_retraining(rng):
+    base = smooth_image(rng)
+    state = tracker.kcf_init(base, (48.0, 48.0, 20.0, 20.0))
+    frame = np.roll(base, (2, -3), axis=(0, 1))
+    located, result = tracker.kcf_update(state, frame)
+    assert result.region == (45.0, 50.0, 20.0, 20.0) == located.region
+    assert located.template_hat is state.template_hat
+    assert located.alpha_hat is state.alpha_hat
+    adapted = tracker.kcf_adapt(located, frame)
+    assert adapted.region == located.region
+    assert not np.array_equal(adapted.alpha_hat, state.alpha_hat)
+
+
+def test_moved_center_outside_frame_is_lost_before_retrain(rng):
+    """With interp > 0 the update raises as soon as the peak moves the
+    center out of the frame, since the retrain could not crop there."""
+    base = smooth_image(rng)
+    state = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0))
+    frame = np.roll(base, -4, axis=1)
+    with pytest.raises(TrackLostError):
+        tracker.kcf_update(state, frame)
+    still = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0),
+                             tracker.KcfParams(interp=0.0))
+    _, result = tracker.kcf_update(still, frame)
+    assert result.region[0] < 0
+
+
+# ---------------------------------------------------------------------------
+# per-size constants
+
+
+def test_size_constants_cached_read_only(rng):
+    p = tracker.KcfParams()
+    window, y_hat = tracker._size_constants((40, 40), p)
+    assert np.array_equal(window, np.outer(np.hanning(40), np.hanning(40)))
+    assert np.array_equal(
+        y_hat, np.fft.rfft2(tracker._target_response((40, 40), p)))
+    for arr in (window, y_hat):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert tracker._size_constants((40, 40), tracker.KcfParams())[0] is window
+    state = tracker.kcf_init(smooth_image(rng), (40.0, 40.0, 16.0, 16.0))
+    assert state.window is window and state.y_hat is y_hat
+    other_size = tracker._size_constants((40, 38), p)
+    assert other_size[0].shape == (40, 38)
+    for q in (tracker.KcfParams(padding=2.0),
+              tracker.KcfParams(output_sigma_factor=0.1)):
+        q_window, q_y_hat = tracker._size_constants((40, 40), q)
+        assert np.array_equal(q_window, window) and q_y_hat is not y_hat
+        assert not np.array_equal(q_y_hat, y_hat)
+        assert np.array_equal(
+            q_y_hat, np.fft.rfft2(tracker._target_response((40, 40), q)))
+

@@ -6,9 +6,8 @@ from . import dataset, evaluation, features, mslstm, pipeline, tracker
 from .dataset import (Clip, EyeCenter, Manifest, crop_eye, eye_region,
                       load_manifest, polish_clip, synth_clip, synth_stream)
 from .features import featurize_frames, resize_patch, uniform_lbp
-from .mslstm import (MsLstmModel, TrainConfig, asoftmax_loss, forward,
-                     init_model, load_model, predict, save_model,
-                     softmax_loss, train)
+from .mslstm import (MsLstmModel, TrainConfig, asoftmax_loss, init_model,
+                     load_model, predict, save_model, softmax_loss, train)
 from .pipeline import (BlinkEvent, annotation_locator, detect_stream,
                        temporal_nms, track_eyes, verify_clip)
 from .evaluation import (ConfusionCounts, EvalReport, LocalizationTally,

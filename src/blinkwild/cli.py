@@ -24,7 +24,7 @@ import numpy as np
 from . import dataset, evaluation, features, mslstm, pipeline
 from .errors import BlinkwildError, PredictionsError
 
-EYES = ("left", "right")
+EYES = pipeline.EYES
 PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence"}
 BENCH_STREAM_LEN = 50  # frames per synthetic stream that bench times
 
@@ -42,23 +42,13 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _annotated_regions(clip: dataset.Clip, eye: str):
-    """The eye's annotated region per frame, or None unless it is visible
-    in every frame."""
-    regions = [pipeline._region_for(eye, (rec.left_eye, rec.right_eye,
-                                          rec.face_box))
-               for rec in clip.annotations]
-    return None if None in regions else regions
-
-
 def _closed_frame_index(clip: dataset.Clip) -> int:
     """Fully-closed frame estimate: minimal mean intensity in the eye crops."""
     means = []
     for frame, rec in zip(clip.frames, clip.annotations):
         vals = []
-        located = (rec.left_eye, rec.right_eye, rec.face_box)
         for eye in EYES:
-            region = pipeline._region_for(eye, located)
+            region = dataset.eye_box(rec, eye)
             if region is not None:
                 vals.append(float(dataset.crop_eye(
                     frame, dataset.EyeCenter(*region[:2]), region[2:]).mean()))
@@ -122,32 +112,23 @@ def cmd_polish(args) -> int:
 
 
 def _load_split_features(manifest: dataset.Manifest, split: str):
-    """(sequence, label, entry, eye) per eye with full annotated visibility."""
+    """(sequence, label) per eye annotated as visible in every frame."""
     samples = []
-
-    def featurize(entry):
+    for entry in manifest.split(split):
         clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
-        out = []
+        label = (mslstm.CLASS_BLINK if entry.label == dataset.LABEL_BLINK
+                 else mslstm.CLASS_NONBLINK)
         for eye in EYES:
-            regions = _annotated_regions(clip, eye)
-            if regions is None:
-                continue
-            seq = features.featurize_frames(clip.frames, regions)
-            label = (mslstm.CLASS_BLINK if entry.label == dataset.LABEL_BLINK
-                     else mslstm.CLASS_NONBLINK)
-            out.append((seq, label, entry, eye))
-        return out
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(featurize, manifest.split(split)):
-            samples.extend(chunk)
+            regions = [dataset.eye_box(rec, eye) for rec in clip.annotations]
+            if None not in regions:
+                samples.append((features.featurize_frames(clip.frames,
+                                                          regions), label))
     return samples
 
 
 def cmd_train(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    samples = _load_split_features(manifest, "train")
-    train_set = [(seq, label) for seq, label, _, _ in samples]
+    train_set = _load_split_features(manifest, "train")
     model = mslstm.init_model(hidden=args.hidden, layers=args.layers,
                               scales=args.scales, margin=args.margin,
                               seed=args.seed)
@@ -259,6 +240,7 @@ def cmd_eval(args) -> int:
     for entry in manifest.entries:
         truth[entry.source_id] = entry.label == dataset.LABEL_BLINK
     outcomes = {eye: [] for eye in EYES}
+    seen = set()
     try:
         with open(args.predictions, newline="") as f:
             reader = csv.DictReader(f)
@@ -275,6 +257,10 @@ def cmd_eval(args) -> int:
                     raise PredictionsError(
                         f"{where}: clip {row['clip']!r} is not in manifest "
                         f"{args.manifest}")
+                if (row["clip"], eye) in seen:
+                    raise PredictionsError(f"{where}: repeated row for clip "
+                                           f"{row['clip']!r}, eye {eye!r}")
+                seen.add((row["clip"], eye))
                 try:
                     confidence = float(row["confidence"])
                 except (TypeError, ValueError):  # TypeError: a short row

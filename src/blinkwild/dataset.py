@@ -109,6 +109,16 @@ def eye_region(left: EyeCenter, right: EyeCenter,
     return side, side
 
 
+def eye_box(rec: AnnotationRecord, eye: str) -> tuple | None:
+    """(cx, cy, h, w) region of ``eye`` ("left" or "right") in ``rec``, or
+    None when that eye is not visible."""
+    center = rec.left_eye if eye == "left" else rec.right_eye
+    if not center.visible:
+        return None
+    h, w = eye_region(rec.left_eye, rec.right_eye, rec.face_box)
+    return (center.x, center.y, float(h), float(w))
+
+
 def crop_eye(frame: np.ndarray, center: EyeCenter,
              size: tuple[int, int]) -> np.ndarray:
     """h x w patch centered on the eye; out-of-frame pixels edge-replicate."""

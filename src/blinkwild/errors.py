@@ -41,6 +41,10 @@ class TrackLostError(BlinkwildError):
     """Tracker region has left the frame entirely."""
 
 
+class RegionTooSmallError(TrackLostError, ValueError):
+    """An eye region is too small for the tracker to learn a filter on."""
+
+
 class DegenerateGeometryError(BlinkwildError):
     """Ground-truth eye centers coincide; the ME ratio is undefined."""
 

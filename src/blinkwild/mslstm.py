@@ -82,8 +82,8 @@ def init_model(input_dim: int = 118, hidden: int = 64, layers: int = 2,
                seed: int = 0) -> MsLstmModel:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), forget bias +1,
     head vectors random then renormalized."""
-    if layers < 1 or scales < 1 or margin < 1:
-        raise ValueError("layers, scales and margin must be >= 1")
+    if hidden < 1 or layers < 1 or scales < 1 or margin < 1:
+        raise ValueError("hidden, layers, scales and margin must be >= 1")
     rng = np.random.default_rng(seed)
     layer_params = []
     dim = input_dim
@@ -112,11 +112,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
     """Run every layer over x (batch, steps, input_dim) from a zero state.
 
-    This is the one LSTM core: ``forward``, ``predict`` and
-    ``loss_and_grads`` all call it. Returns (features (batch, T*hidden),
-    caches). With ``keep_cache`` the caches hold, per layer, its parameters,
-    input and output sequences and the per-step (c_prev, i, f, o, g,
-    tanh(c)) that BPTT needs; without it they are None, which spares
+    This is the one LSTM core: ``predict`` (inference) and
+    ``loss_and_grads`` (training) both call it. Returns (features (batch,
+    T*hidden), caches). With ``keep_cache`` the caches hold, per layer, its
+    parameters, input and output sequences and the per-step (c_prev, i, f,
+    o, g, tanh(c)) that BPTT needs; without it they are None, which spares
     inference from keeping every gate alive.
     """
     b, n, _ = x.shape
@@ -199,34 +199,12 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
     return grads
 
 
-def _checked(model: MsLstmModel, seq, ndims: tuple[int, ...]) -> np.ndarray:
-    """``seq`` as float64, rejected unless it has one of ``ndims`` axes, the
-    model's feature dimension last, and only finite values."""
-    x = np.asarray(seq, dtype=np.float64)
-    if x.ndim not in ndims or x.shape[-1] != model.input_dim:
-        raise ValueError("sequence has wrong feature dimension")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input sequence")
-    return x
-
-
 def _geometry(model: MsLstmModel, x: np.ndarray):
     """Features, norms and class cosines of a (batch, steps, dim) batch."""
     feats, _ = _run_layers(model, x, keep_cache=False)
     r = np.linalg.norm(feats, axis=1)
     cos = feats @ model.head.T / np.maximum(r, 1e-300)[:, None]
     return feats, r, cos
-
-
-def forward(model: MsLstmModel, seq: np.ndarray):
-    """Classifier geometry for one sequence (steps, input_dim).
-
-    Returns (feature, norm, cosines): the concatenated last-T hidden states,
-    its Euclidean norm, and cos(theta_c) against each unit class vector.
-    """
-    x = _checked(model, seq, (2,))
-    feats, r, cos = _geometry(model, x[None])
-    return feats[0], float(r[0]), cos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +365,8 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
     trained model (updated in place) and the per-step loss history.
     """
     config = config or TrainConfig()
+    if config.batch_size < 1 or config.max_steps < 0:
+        raise ValueError("batch_size must be >= 1 and max_steps >= 0")
     if not train_set:
         raise InvalidDatasetError("empty training set")
     labels = np.array([int(lbl) for _, lbl in train_set])
@@ -436,7 +416,11 @@ def predict(model: MsLstmModel, seq: np.ndarray):
     Inference always uses the plain angular scores r*cos(theta_c); the
     margin only reshapes the training loss.
     """
-    x = _checked(model, seq, (2, 3))
+    x = np.asarray(seq, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-1] != model.input_dim:
+        raise ValueError("sequence has wrong feature dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input sequence")
     _, r, cos = _geometry(model, x if x.ndim == 3 else x[None])
     scores = r[:, None] * cos
     z = scores - scores.max(axis=1, keepdims=True)

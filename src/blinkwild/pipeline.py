@@ -1,8 +1,9 @@
 """End-to-end detection: locate, track, featurize, verify, slide, suppress.
 
-An EyeLocator supplies per-frame eye centers and a face box (in production
-that would be a face-parsing engine; here an annotation-backed locator
-stands in). KCF propagates each eye region frame to frame; when the
+An EyeLocator returns the annotation record it found for a frame: two eye
+centers and a face box (in production a face-parsing engine would find it;
+here the clip's annotations stand in), and ``dataset.eye_box`` gives each
+eye's region. KCF propagates each eye region frame to frame; when the
 tracking score drops below a threshold the locator is re-invoked, and the
 filter is retrained only on a frame whose track is kept. Fixed windows
 slide over untrimmed streams and the classifier's blink confidence per
@@ -17,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import features, mslstm, tracker
-from .dataset import AnnotationRecord, Clip, EyeCenter, eye_region
-from .errors import NoVisibleEyeError, TrackLostError
+from .dataset import AnnotationRecord, Clip, eye_box
+from .errors import TrackLostError
 
 EYES = ("left", "right")
 TRACK_THRESH = 0.25  # re-localization trigger on the KCF score
@@ -27,9 +28,8 @@ TRACK_THRESH = 0.25  # re-localization trigger on the KCF score
 # eye raised detect's peak RSS by 99 MB, chunks of 256 by 14 MB.
 WINDOW_BATCH = 256
 
-# locator contract: (frame, frame_index) -> (left, right, face_box) or None
-EyeLocator = Callable[[np.ndarray, int],
-                      Optional[tuple[EyeCenter, EyeCenter, tuple]]]
+# locator contract: (frame, frame_index) -> the frame's record, or None
+EyeLocator = Callable[[np.ndarray, int], Optional[AnnotationRecord]]
 
 
 @dataclass
@@ -55,28 +55,12 @@ def annotation_locator(clip: Clip) -> EyeLocator:
     Eyes labelled (-1, -1) come back as invisible; frames beyond the
     annotated range report absence.
     """
-    records: dict[int, AnnotationRecord] = {
-        i: rec for i, rec in enumerate(clip.annotations)}
-
     def locate(frame: np.ndarray, index: int):
-        rec = records.get(index)
-        if rec is None:
-            return None
-        return rec.left_eye, rec.right_eye, rec.face_box
+        if index < len(clip.annotations):
+            return clip.annotations[index]
+        return None
 
     return locate
-
-
-def _region_for(eye_name: str, located) -> tuple | None:
-    left, right, face_box = located
-    center = left if eye_name == "left" else right
-    if not center.visible:
-        return None
-    try:
-        h, w = eye_region(left, right, face_box)
-    except NoVisibleEyeError:
-        return None
-    return (center.x, center.y, float(h), float(w))
 
 
 def _track_one_eye(frames, locator: EyeLocator,
@@ -86,7 +70,7 @@ def _track_one_eye(frames, locator: EyeLocator,
     n = len(frames)
     stream = TrackedStream(boxes=[], scores=[])
     located = locator(frames[0], 0)
-    region = _region_for(eye_name, located) if located else None
+    region = eye_box(located, eye_name) if located else None
     t = 0
     try:
         if region is None:
@@ -100,7 +84,7 @@ def _track_one_eye(frames, locator: EyeLocator,
             if score < TRACK_THRESH:
                 stream.reloc_indices.append(t)
                 located = locator(frames[t], t)
-                fresh = _region_for(eye_name, located) if located else None
+                fresh = eye_box(located, eye_name) if located else None
                 if fresh is not None:
                     state = tracker.kcf_init(frames[t], fresh)
                     stream.boxes.append(fresh)

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataset import EyeCenter, crop_eye
-from .errors import TrackLostError
+from .errors import RegionTooSmallError, TrackLostError
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,6 @@ def gaussian_correlation(x: np.ndarray, z: np.ndarray,
     return _kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, x.shape, sigma_k)
 
 
-def _padded_size(region, padding) -> tuple[int, int]:
-    _, _, h, w = region
-    return max(4, int(round(h * padding))), max(4, int(round(w * padding)))
-
-
 def _check_inside(frame: np.ndarray, region) -> None:
     cx, cy = region[0], region[1]
     if (cx < 0 or cy < 0 or cx >= frame.shape[1] or cy >= frame.shape[0]):
@@ -146,13 +141,14 @@ def _train(x_hat: np.ndarray, x_energy: float, y_hat: np.ndarray,
 
 def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
              params: KcfParams | None = None) -> KcfState:
-    """Learn the correlation filter for the padded patch around ``region``."""
+    """Learn the correlation filter for the padded patch around ``region``.
+    A padded side below 4 px raises RegionTooSmallError, a TrackLostError."""
     params = params or KcfParams()
-    raw_h = int(round(region[2] * params.padding))
-    raw_w = int(round(region[3] * params.padding))
-    if raw_h * raw_w < 16:
-        raise ValueError("padded region area below 16 px")
-    size = _padded_size(region, params.padding)
+    size = (int(round(region[2] * params.padding)),
+            int(round(region[3] * params.padding)))
+    if min(size) < 4:
+        raise RegionTooSmallError(f"padded region {size[0]}x{size[1]} px is "
+                                  f"below 4 px a side")
     window, y_hat = _size_constants(size, params)
     template = _preprocess(_extract(frame, region, size), window)
     template_hat = np.fft.rfft2(template)

@@ -4,6 +4,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,21 @@ def test_synth_deterministic(tmp_path):
     assert _same_tree(str(tmp_path / "a"), str(tmp_path / "b"))
 
 
+def test_synth_same_at_any_thread_count(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    trees = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BLINKWILD_THREADS", threads)
+        assert run(["--seed", 4, "synth", "--out", out,
+                    "--train-blink", 3, "--train-nonblink", 3,
+                    "--test-blink", 2, "--test-nonblink", 2]) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+        shutil.rmtree(out)
+    assert len(trees[0]) > 10 * 10  # ten clips' frames and annotations
+    assert trees[0] == trees[1]
+
+
 def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", small_dataset / "manifest.tsv",
                 "--out", tmp_path / "p1"]) == 0
@@ -143,6 +159,20 @@ def test_train_outputs(small_dataset, small_model, tmp_path):
                 small_dataset / "manifest.tsv", "--model", again,
                 "--steps", 60, "--batch-size", 8, "--hidden", 8]) == 0
     assert open(small_model, "rb").read() == open(again, "rb").read()
+
+
+@pytest.mark.parametrize("argv, name", [(["--hidden", 0], "hidden"),
+                                        (["--batch-size", 0], "batch_size"),
+                                        (["--steps", -1], "max_steps")])
+def test_train_bad_hyper_parameter_is_one_line_error(small_dataset, tmp_path,
+                                                     capsys, argv, name):
+    model = tmp_path / "m.bin"
+    assert run(["train", "--manifest", small_dataset / "manifest.tsv",
+                "--model", model, "--steps", 2, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
+    assert not model.exists()
 
 
 def test_verify_and_eval(small_dataset, small_model, tmp_path):
@@ -186,6 +216,33 @@ def test_detect_bad_window_argument_is_one_line_error(small_model, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag[2:] in err
+
+
+def test_verify_region_too_small_ends_track(small_dataset, small_model,
+                                            tmp_path):
+    """A clip whose eyes sit 2 px apart gets a 1 px region, 2 px once
+    padded: too small for KCF, so both its tracks end at frame 0."""
+    entries = dataset.load_manifest(
+        str(small_dataset / "manifest.tsv")).split("test")
+    first = entries[0]
+    clip = dataset.load_clip(first.clip_dir, first.label, first.source_id)
+    clip.annotations = [dataclasses.replace(rec, right_eye=dataset.EyeCenter(
+        rec.left_eye.x + 2, rec.left_eye.y)) for rec in clip.annotations]
+    tiny_dir = str(tmp_path / "tiny")
+    dataset.save_clip(tiny_dir, clip)
+    dataset.write_manifest(str(tmp_path / "base.tsv"), entries)
+    dataset.write_manifest(str(tmp_path / "tiny.tsv"), [
+        dataclasses.replace(first, clip_dir=tiny_dir)] + entries[1:])
+    rows = {}
+    for name in ("base", "tiny"):
+        assert run(["verify", "--manifest", tmp_path / f"{name}.tsv",
+                    "--model", small_model, "--out", tmp_path / name]) == 0
+        rows[name] = (tmp_path / name / "predictions.csv").read_text(
+            ).splitlines()
+    assert rows["tiny"][1:3] == [f"{first.source_id},{eye},nonblink,0.0,1"
+                                 for eye in pipeline.EYES]
+    assert rows["tiny"][3:] == rows["base"][3:]
+    assert rows["base"][1:3] != rows["tiny"][1:3]
 
 
 def test_bench_json(small_model, tmp_path):
@@ -263,6 +320,9 @@ def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
      [":2:", "confidence", "-0.1"]),
     ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n\udcff\n",
      ["not a readable CSV"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
+     "{clip},right,blink,0.8,0\n{clip},left,nonblink,0.1,0\n",
+     [":4:", "repeated", "{clip}", "'left'"]),
 ])
 def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
                                                 capsys, rows, names):
@@ -277,7 +337,7 @@ def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
     assert len(err) == 1
     assert err[0].startswith(f"error: {preds}")
     for name in names:
-        assert name in err[0]
+        assert name.format(clip=man.entries[0].source_id) in err[0]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ def reference_nms(proposals, iou_thresh):
     return kept
 
 
+def record(left, right, face_box):
+    """A located frame: the annotation record a locator returns."""
+    return dataset.AnnotationRecord(frame_index=0, face_box=face_box,
+                                    left_eye=left, right_eye=right)
+
+
 def _event(start, end, conf, eye="left"):
     return pipeline.BlinkEvent(start=start, end=end, confidence=conf, eye=eye)
 
@@ -29,14 +37,12 @@ def _event(start, end, conf, eye="left"):
 # annotation_locator
 
 
-def test_locator_returns_annotated_centers():
+def test_locator_returns_annotated_records():
     clip = dataset.synth_clip(0, dataset.LABEL_BLINK, 10)
     locate = pipeline.annotation_locator(clip)
     for i, rec in enumerate(clip.annotations):
-        left, right, face = locate(clip.frames[i], i)
-        assert left == rec.left_eye
-        assert right == rec.right_eye
-        assert face == rec.face_box
+        assert locate(clip.frames[i], i) == rec
+    assert locate(clip.frames[0], len(clip.annotations)) is None
 
 
 def test_locator_invisible_eye():
@@ -47,9 +53,9 @@ def test_locator_invisible_eye():
         for r in clip.annotations]
     clip = dataset.Clip(frames=clip.frames, annotations=recs,
                         label=clip.label, source_id=clip.source_id)
-    left, right, _ = pipeline.annotation_locator(clip)(clip.frames[0], 0)
-    assert not left.visible
-    assert right.visible
+    rec = pipeline.annotation_locator(clip)(clip.frames[0], 0)
+    assert not rec.left_eye.visible
+    assert rec.right_eye.visible
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +112,8 @@ def leaving_frames(n=16):
     frame 7, the right one (x = 50) would at frame 17."""
     base = smooth_image(np.random.default_rng(0), (96, 96))
     frames = [np.roll(base, -3 * t, axis=1) for t in range(n)]
-    eyes = (dataset.EyeCenter(20.0, 48.0), dataset.EyeCenter(50.0, 48.0),
-            (5, 30, 80, 40))
+    eyes = record(dataset.EyeCenter(20.0, 48.0),
+                  dataset.EyeCenter(50.0, 48.0), (5, 30, 80, 40))
     return frames, lambda frame, i: eyes if i == 0 else None
 
 
@@ -149,7 +155,7 @@ def reference_track_one_eye(frames, locator, eye):
     n = len(frames)
     boxes, scores, relocs = [], [], []
     located = locator(frames[0], 0)
-    region = pipeline._region_for(eye, located) if located else None
+    region = dataset.eye_box(located, eye) if located else None
     t = 0
     try:
         if region is None:
@@ -163,7 +169,7 @@ def reference_track_one_eye(frames, locator, eye):
             if result.score < pipeline.TRACK_THRESH:
                 relocs.append(t)
                 located = locator(frames[t], t)
-                fresh = pipeline._region_for(eye, located) if located else None
+                fresh = dataset.eye_box(located, eye) if located else None
                 if fresh is not None:
                     state = tracker.kcf_init(frames[t], fresh)
                     box = fresh
@@ -241,8 +247,8 @@ def test_track_matches_reference_when_shift_leaves_frame():
     frames = [smooth_image(rng)] + [
         rng.integers(0, 256, size=(96, 96)).astype(np.uint8)
         for _ in range(11)]
-    eyes = (dataset.EyeCenter(3.0, 48.0), dataset.EyeCenter(43.0, 48.0),
-            (0, 20, 96, 60))
+    eyes = record(dataset.EyeCenter(3.0, 48.0),
+                  dataset.EyeCenter(43.0, 48.0), (0, 20, 96, 60))
     locate = lambda frame, i: eyes
     streams = assert_tracks_match_reference(frames, locate)
     left = streams["left"]
@@ -255,8 +261,9 @@ def test_track_matches_reference_eye_invisible_at_start():
     base = pipeline.annotation_locator(clip)
 
     def late_left(frame, i):
-        left, right, face = base(frame, i)
-        return (left if i else dataset.EyeCenter.invisible()), right, face
+        rec = base(frame, i)
+        return rec if i else replace(rec,
+                                     left_eye=dataset.EyeCenter.invisible())
 
     streams = assert_tracks_match_reference(list(clip.frames), late_left)
     assert streams["left"].lost_from == 0
@@ -284,10 +291,11 @@ def test_verify_eyes_independent():
                               clip.annotations[0].face_box)[0]
 
     def left_only(frame, i):
-        left, _, face = base(frame, i)
+        rec = base(frame, i)
+        face = rec.face_box
         # face width chosen so the single-eye rule yields the same box size
-        return left, dataset.EyeCenter.invisible(), (face[0], face[1],
-                                                     9 * size, face[3])
+        return replace(rec, right_eye=dataset.EyeCenter.invisible(),
+                       face_box=(face[0], face[1], 9 * size, face[3]))
 
     both = pipeline.verify_clip(clip, base, model)
     solo = pipeline.verify_clip(clip, left_only, model)

@@ -113,6 +113,16 @@ def test_degenerate_region_rejected(rng):
         tracker.kcf_init(frame, (10.0, 10.0, 1.0, 1.0))
 
 
+def test_too_small_region_is_a_lost_track(rng):
+    """A padded side below 4 px ends the track the way a region leaving
+    the frame does; 4 px is the smallest side kept."""
+    frame = smooth_image(rng)
+    with pytest.raises(TrackLostError):
+        tracker.kcf_init(frame, (48.0, 48.0, 1.0, 1.0))  # 2.5 rounds to 2
+    state = tracker.kcf_init(frame, (48.0, 48.0, 1.4, 1.4))  # 3.5 to 4
+    assert state.window.shape == (4, 4)
+
+
 def test_center_outside_frame_is_lost(rng):
     frame = smooth_image(rng)
     state = tracker.kcf_init(frame, (48.0, 48.0, 16.0, 16.0))
@@ -175,7 +185,8 @@ def reference_correlation(x, z, sigma_k):
 
 def reference_init(frame, region, params):
     """KCF that keeps a spatial template and complex-FFT alpha_hat."""
-    size = tracker._padded_size(region, params.padding)
+    size = (round(region[2] * params.padding),
+            round(region[3] * params.padding))
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
     y_hat = np.fft.fft2(tracker._target_response(size, params))
     template = tracker._preprocess(tracker._extract(frame, region, size),

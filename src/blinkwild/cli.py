@@ -61,19 +61,18 @@ def _closed_frame_index(clip: dataset.Clip) -> int:
 
 
 def cmd_synth(args) -> int:
+    kinds = []  # (split, label) of each clip, in seed order
+    for split in ("train", "test"):
+        for label in (dataset.LABEL_BLINK, dataset.LABEL_NONBLINK):
+            count = getattr(args, f"{split}_{label}")
+            if count < 0:
+                raise ValueError(f"--{split}-{label} must be >= 0, got "
+                                 f"{count}")
+            kinds += [(split, label)] * count
+    specs = [(split, label, args.seed * 1_000_003 + i)
+             for i, (split, label) in enumerate(kinds)]
     os.makedirs(args.out, exist_ok=True)
     entries = []
-    specs = []
-    counter = 0
-    for split, n_blink, n_nonblink in (("train", args.train_blink,
-                                        args.train_nonblink),
-                                       ("test", args.test_blink,
-                                        args.test_nonblink)):
-        for label, count in ((dataset.LABEL_BLINK, n_blink),
-                             (dataset.LABEL_NONBLINK, n_nonblink)):
-            for i in range(count):
-                specs.append((split, label, args.seed * 1_000_003 + counter))
-                counter += 1
 
     def build(spec):
         split, label, seed = spec
@@ -269,6 +268,10 @@ def cmd_eval(args) -> int:
                     raise PredictionsError(f"{where}: confidence "
                                            f"{row['confidence']!r} is not a "
                                            f"number in [0, 1]")
+                if row["label"] not in (dataset.LABEL_BLINK,
+                                        dataset.LABEL_NONBLINK):
+                    raise PredictionsError(f"{where}: label {row['label']!r} "
+                                           f"is not blink or nonblink")
                 outcomes[eye].append((confidence, truth[row["clip"]],
                                       row["label"] == dataset.LABEL_BLINK))
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -19,6 +19,7 @@ from .pipeline import BlinkEvent, temporal_iou
 
 REPORT_VERSION = 1
 ME_THRESHOLD = 0.4  # localization counts as correct iff ME <= 0.4
+AP_OVERLAP = 0.5  # a detection matches a gt interval iff IoU >= 0.5
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,14 @@ def fr(tally: LocalizationTally) -> float:
     return (tally.n_miss + tally.n_err) / tally.n_all
 
 
-def average_precision(events: list[BlinkEvent], gt: list[tuple[int, int]],
-                      overlap: float = 0.5) -> float:
+def average_precision(events: list[BlinkEvent],
+                      gt: list[tuple[int, int]]) -> float:
     """Rank-sum AP with greedy best-IoU matching, one match per gt interval.
 
     Events are taken in descending confidence; each is a true positive if
-    its best IoU against a still-unmatched gt interval reaches the overlap
-    threshold. AP = sum of precision-at-TP-ranks / |gt|; 0 when gt is empty.
+    its best IoU against a still-unmatched gt interval reaches
+    ``AP_OVERLAP``. AP = sum of precision-at-TP-ranks / |gt|; 0 when gt is
+    empty.
     """
     for e in events:
         if e.confidence < 0:
@@ -97,7 +99,7 @@ def average_precision(events: list[BlinkEvent], gt: list[tuple[int, int]],
             iou = temporal_iou((ev.start, ev.end), interval)
             if iou > best_iou:
                 best, best_iou = j, iou
-        if best >= 0 and best_iou >= overlap:
+        if best >= 0 and best_iou >= AP_OVERLAP:
             matched[best] = True
             tp += 1
             ap += tp / rank

@@ -65,8 +65,8 @@ def annotation_locator(clip: Clip) -> EyeLocator:
 
 def _track_one_eye(frames, locator: EyeLocator,
                    eye_name: str) -> TrackedStream:
-    """Track one eye; a track that cannot start or leaves the frame ends
-    there, with no box from that frame on."""
+    """Track one eye; a track that cannot start, or whose kept region
+    leaves the frame, ends there, with no box from that frame on."""
     n = len(frames)
     stream = TrackedStream(boxes=[], scores=[])
     located = locator(frames[0], 0)

@@ -9,7 +9,8 @@ runs on the spectra. An update only locates the target (``kcf_update``); the
 retrain and blend (``kcf_adapt``) is a separate step a caller runs only on a
 track it keeps. The region size is fixed for the lifetime of a track; the
 peak of the real response map is exposed as the tracking score so callers can
-trigger re-localization. The Hann window and target spectrum are built once
+trigger re-localization; a crop centred outside the frame is the one thing
+that ends a track. The Hann window and target spectrum are built once
 per padded size and shared, read-only, by every track of that size.
 """
 
@@ -23,14 +24,15 @@ import numpy as np
 from .dataset import EyeCenter, crop_eye
 from .errors import RegionTooSmallError, TrackLostError
 
+LAMBDA = 1e-4               # ridge regularizer
+SIGMA_K = 0.2               # Gaussian kernel bandwidth
+PADDING = 2.5               # context around the target
+OUTPUT_SIGMA_FACTOR = 0.125  # target response width per padded side
+
 
 @dataclass(frozen=True)
 class KcfParams:
-    lam: float = 1e-4              # ridge regularizer
-    sigma_k: float = 0.2           # Gaussian kernel bandwidth
-    padding: float = 2.5           # context around the target
     interp: float = 0.02           # template/alpha learning rate
-    output_sigma_factor: float = 0.125
 
 
 @dataclass
@@ -92,15 +94,12 @@ def gaussian_correlation(x: np.ndarray, z: np.ndarray,
     return _kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, x.shape, sigma_k)
 
 
-def _check_inside(frame: np.ndarray, region) -> None:
+def _extract(frame: np.ndarray, region, size) -> np.ndarray:
+    """The patch around ``region``; a center outside the frame ends the
+    track with TrackLostError."""
     cx, cy = region[0], region[1]
     if (cx < 0 or cy < 0 or cx >= frame.shape[1] or cy >= frame.shape[0]):
         raise TrackLostError(f"region center {(cx, cy)} left the frame")
-
-
-def _extract(frame: np.ndarray, region, size) -> np.ndarray:
-    _check_inside(frame, region)
-    cx, cy = region[0], region[1]
     patch = crop_eye(frame, EyeCenter(cx, cy), size).astype(np.float64)
     return patch / 255.0
 
@@ -112,51 +111,53 @@ def _preprocess(patch: np.ndarray, window: np.ndarray) -> np.ndarray:
     return centered / (centered.std() + 1e-12) * window
 
 
-def _target_response(size: tuple[int, int], params: KcfParams) -> np.ndarray:
+def _transform(frame: np.ndarray, region, window: np.ndarray
+               ) -> tuple[np.ndarray, float]:
+    """rfft2 spectrum and energy of the preprocessed patch at ``region``."""
+    x = _preprocess(_extract(frame, region, window.shape), window)
+    return np.fft.rfft2(x), np.sum(x * x)
+
+
+def _target_response(size: tuple[int, int]) -> np.ndarray:
     """Gaussian response with peak wrapped to (0, 0)."""
     ph, pw = size
-    sigma = np.sqrt(ph * pw) / params.padding * params.output_sigma_factor
+    sigma = np.sqrt(ph * pw) / PADDING * OUTPUT_SIGMA_FACTOR
     ys = (np.arange(ph) + ph // 2) % ph - ph // 2
     xs = (np.arange(pw) + pw // 2) % pw - pw // 2
     return np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma ** 2))
 
 
 @lru_cache(maxsize=64)
-def _size_constants(size: tuple[int, int], params: KcfParams
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _size_constants(size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Hann window and target spectrum ``y_hat`` of a padded
     size."""
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
-    y_hat = np.fft.rfft2(_target_response(size, params))
+    y_hat = np.fft.rfft2(_target_response(size))
     window.flags.writeable = y_hat.flags.writeable = False
     return window, y_hat
 
 
 def _train(x_hat: np.ndarray, x_energy: float, y_hat: np.ndarray,
-           shape: tuple[int, int], params: KcfParams) -> np.ndarray:
+           shape: tuple[int, int]) -> np.ndarray:
     """Dual coefficients of the ridge regression on patch x, rfft2 domain."""
-    k_xx = _kernel(x_hat, x_hat, 2.0 * x_energy, shape, params.sigma_k)
-    return y_hat / (np.fft.rfft2(k_xx) + params.lam)
+    k_xx = _kernel(x_hat, x_hat, 2.0 * x_energy, shape, SIGMA_K)
+    return y_hat / (np.fft.rfft2(k_xx) + LAMBDA)
 
 
 def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
              params: KcfParams | None = None) -> KcfState:
     """Learn the correlation filter for the padded patch around ``region``.
     A padded side below 4 px raises RegionTooSmallError, a TrackLostError."""
-    params = params or KcfParams()
-    size = (int(round(region[2] * params.padding)),
-            int(round(region[3] * params.padding)))
+    size = (int(round(region[2] * PADDING)), int(round(region[3] * PADDING)))
     if min(size) < 4:
         raise RegionTooSmallError(f"padded region {size[0]}x{size[1]} px is "
                                   f"below 4 px a side")
-    window, y_hat = _size_constants(size, params)
-    template = _preprocess(_extract(frame, region, size), window)
-    template_hat = np.fft.rfft2(template)
-    alpha_hat = _train(template_hat, np.sum(template * template), y_hat,
-                       size, params)
-    return KcfState(template_hat=template_hat, alpha_hat=alpha_hat,
+    window, y_hat = _size_constants(size)
+    template_hat, energy = _transform(frame, region, window)
+    return KcfState(template_hat=template_hat,
+                    alpha_hat=_train(template_hat, energy, y_hat, size),
                     region=tuple(float(v) for v in region),
-                    window=window, y_hat=y_hat, params=params)
+                    window=window, y_hat=y_hat, params=params or KcfParams())
 
 
 def _unwrap(idx: int, n: int) -> int:
@@ -169,29 +170,23 @@ def kcf_update(state: KcfState,
 
     The response map is evaluated at the previous region; the argmax
     displacement (circular shifts unwrapped to [-N/2, N/2)) moves the region.
-    With ``interp`` > 0 a moved center outside the frame raises
-    TrackLostError, since ``kcf_adapt`` could not crop there.
+    The new center may lie outside the frame: a caller that re-localizes
+    moves it back, and the next crop there (``kcf_adapt`` or the next
+    update) raises TrackLostError.
     """
-    p = state.params
     size = state.window.shape
-    probe = _preprocess(_extract(frame, state.region, size), state.window)
-    probe_hat = np.fft.rfft2(probe)
-    probe_energy = np.sum(probe * probe)
+    probe_hat, probe_energy = _transform(frame, state.region, state.window)
     energy = probe_energy + _energy(state.template_hat, size[1])
-    k_zx = _kernel(probe_hat, state.template_hat, energy, size, p.sigma_k)
+    k_zx = _kernel(probe_hat, state.template_hat, energy, size, SIGMA_K)
     response = np.fft.irfft2(np.fft.rfft2(k_zx) * state.alpha_hat, s=size)
     peak = np.unravel_index(int(np.argmax(response)), response.shape)
     dy = _unwrap(peak[0], size[0])
     dx = _unwrap(peak[1], size[1])
     cx, cy, h, w = state.region
     new_region = (cx + dx, cy + dy, h, w)
-    moved = bool(dx or dy)
-    if moved and p.interp > 0.0:
-        _check_inside(frame, new_region)
-    new_state = replace(state, region=new_region,
-                        probe=None if moved else (probe_hat, probe_energy))
-    return new_state, TrackResult(region=new_region,
-                                  score=float(response[peak]))
+    probe = None if dx or dy else (probe_hat, probe_energy)
+    return (replace(state, region=new_region, probe=probe),
+            TrackResult(region=new_region, score=float(response[peak])))
 
 
 def kcf_adapt(state: KcfState, frame: np.ndarray) -> KcfState:
@@ -199,18 +194,16 @@ def kcf_adapt(state: KcfState, frame: np.ndarray) -> KcfState:
     ``frame`` and blend it in with rate ``interp`` (interp=0 keeps the
     initial model unchanged). The blend runs on the spectra, which equals
     the spectrum of the blended template."""
-    p = state.params
-    if p.interp <= 0.0:
+    rate = state.params.interp
+    if rate <= 0.0:
         return state
     size = state.window.shape
     if state.probe is None:
-        fresh = _preprocess(_extract(frame, state.region, size), state.window)
-        fresh_hat, fresh_energy = np.fft.rfft2(fresh), np.sum(fresh * fresh)
+        fresh_hat, fresh_energy = _transform(frame, state.region, state.window)
     else:  # the region did not move: the probe is the training patch
         fresh_hat, fresh_energy = state.probe
-    template_hat = (1 - p.interp) * state.template_hat + p.interp * fresh_hat
-    alpha_hat = ((1 - p.interp) * state.alpha_hat
-                 + p.interp * _train(fresh_hat, fresh_energy, state.y_hat,
-                                     size, p))
+    template_hat = (1 - rate) * state.template_hat + rate * fresh_hat
+    alpha_hat = ((1 - rate) * state.alpha_hat
+                 + rate * _train(fresh_hat, fresh_energy, state.y_hat, size))
     return replace(state, template_hat=template_hat, alpha_hat=alpha_hat,
                    probe=None)

@@ -125,6 +125,20 @@ def test_synth_same_at_any_thread_count(tmp_path, monkeypatch):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.parametrize("flag", ["--train-blink", "--train-nonblink",
+                                  "--test-blink", "--test-nonblink"])
+def test_synth_negative_count_is_one_line_error(tmp_path, capsys, flag):
+    counts = {"--train-blink": 1, "--train-nonblink": 1,
+              "--test-blink": 0, "--test-nonblink": 0, flag: -1}
+    out = tmp_path / "data"
+    assert run(["synth", "--out", out]
+               + [a for kv in counts.items() for a in kv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and flag in err[0]
+    assert not out.exists()
+
+
 def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", small_dataset / "manifest.tsv",
                 "--out", tmp_path / "p1"]) == 0
@@ -323,6 +337,8 @@ def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
     ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
      "{clip},right,blink,0.8,0\n{clip},left,nonblink,0.1,0\n",
      [":4:", "repeated", "{clip}", "'left'"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
+     "{clip},right,bogus,0.8,0\n", [":3:", "label", "'bogus'"]),
 ])
 def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
                                                 capsys, rows, names):

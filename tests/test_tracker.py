@@ -185,14 +185,14 @@ def reference_correlation(x, z, sigma_k):
 
 def reference_init(frame, region, params):
     """KCF that keeps a spatial template and complex-FFT alpha_hat."""
-    size = (round(region[2] * params.padding),
-            round(region[3] * params.padding))
+    size = (round(region[2] * tracker.PADDING),
+            round(region[3] * tracker.PADDING))
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
-    y_hat = np.fft.fft2(tracker._target_response(size, params))
+    y_hat = np.fft.fft2(tracker._target_response(size))
     template = tracker._preprocess(tracker._extract(frame, region, size),
                                    window)
-    k_xx = reference_correlation(template, template, params.sigma_k)
-    alpha_hat = y_hat / (np.fft.fft2(k_xx) + params.lam)
+    k_xx = reference_correlation(template, template, tracker.SIGMA_K)
+    alpha_hat = y_hat / (np.fft.fft2(k_xx) + tracker.LAMBDA)
     return dict(template=template, alpha_hat=alpha_hat, region=region,
                 window=window, y_hat=y_hat, params=params)
 
@@ -202,7 +202,7 @@ def reference_update(state, frame):
     size = state["template"].shape
     probe = tracker._preprocess(
         tracker._extract(frame, state["region"], size), state["window"])
-    k_zx = reference_correlation(probe, state["template"], p.sigma_k)
+    k_zx = reference_correlation(probe, state["template"], tracker.SIGMA_K)
     response = np.fft.ifft2(np.fft.fft2(k_zx) * state["alpha_hat"])
     assert np.max(np.abs(response.imag)) < 1e-9
     response = response.real
@@ -215,8 +215,8 @@ def reference_update(state, frame):
     if p.interp > 0.0:
         fresh = tracker._preprocess(tracker._extract(frame, region, size),
                                     state["window"])
-        k_xx = reference_correlation(fresh, fresh, p.sigma_k)
-        alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + p.lam)
+        k_xx = reference_correlation(fresh, fresh, tracker.SIGMA_K)
+        alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + tracker.LAMBDA)
         state["template"] = ((1 - p.interp) * state["template"]
                              + p.interp * fresh)
         state["alpha_hat"] = ((1 - p.interp) * state["alpha_hat"]
@@ -304,18 +304,24 @@ def test_update_locates_without_retraining(rng):
     assert not np.array_equal(adapted.alpha_hat, state.alpha_hat)
 
 
-def test_moved_center_outside_frame_is_lost_before_retrain(rng):
-    """With interp > 0 the update raises as soon as the peak moves the
-    center out of the frame, since the retrain could not crop there."""
+def test_moved_center_outside_frame_is_lost_at_next_crop(rng):
+    """The update reports a center that left the frame, so a caller can
+    re-localize; the next crop there, the retrain or (at interp = 0) the
+    next update, ends the track."""
     base = smooth_image(rng)
-    state = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0))
     frame = np.roll(base, -4, axis=1)
-    with pytest.raises(TrackLostError):
-        tracker.kcf_update(state, frame)
-    still = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0),
-                             tracker.KcfParams(interp=0.0))
-    _, result = tracker.kcf_update(still, frame)
-    assert result.region[0] < 0
+    for interp in (0.02, 0.0):
+        state = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0),
+                                 tracker.KcfParams(interp=interp))
+        state, result = tracker.kcf_update(state, frame)
+        assert result.region == state.region == (-2.0, 48.0, 16.0, 16.0)
+        if interp:
+            with pytest.raises(TrackLostError):
+                tracker.kcf_adapt(state, frame)
+        else:
+            assert tracker.kcf_adapt(state, frame) is state
+            with pytest.raises(TrackLostError):
+                tracker.kcf_update(state, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +329,16 @@ def test_moved_center_outside_frame_is_lost_before_retrain(rng):
 
 
 def test_size_constants_cached_read_only(rng):
-    p = tracker.KcfParams()
-    window, y_hat = tracker._size_constants((40, 40), p)
+    window, y_hat = tracker._size_constants((40, 40))
     assert np.array_equal(window, np.outer(np.hanning(40), np.hanning(40)))
     assert np.array_equal(
-        y_hat, np.fft.rfft2(tracker._target_response((40, 40), p)))
+        y_hat, np.fft.rfft2(tracker._target_response((40, 40))))
     for arr in (window, y_hat):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0
-    assert tracker._size_constants((40, 40), tracker.KcfParams())[0] is window
+    assert tracker._size_constants((40, 40))[0] is window
     state = tracker.kcf_init(smooth_image(rng), (40.0, 40.0, 16.0, 16.0))
     assert state.window is window and state.y_hat is y_hat
-    other_size = tracker._size_constants((40, 38), p)
+    other_size = tracker._size_constants((40, 38))
     assert other_size[0].shape == (40, 38)
-    for q in (tracker.KcfParams(padding=2.0),
-              tracker.KcfParams(output_sigma_factor=0.1)):
-        q_window, q_y_hat = tracker._size_constants((40, 40), q)
-        assert np.array_equal(q_window, window) and q_y_hat is not y_hat
-        assert not np.array_equal(q_y_hat, y_hat)
-        assert np.array_equal(
-            q_y_hat, np.fft.rfft2(tracker._target_response((40, 40), q)))
-

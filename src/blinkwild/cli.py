@@ -17,7 +17,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,15 +24,8 @@ from . import dataset, evaluation, features, mslstm, pipeline
 from .errors import BlinkwildError, PredictionsError
 
 EYES = pipeline.EYES
-PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence"}
+PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence", "lost"}
 BENCH_STREAM_LEN = 50  # frames per synthetic stream that bench times
-
-
-def _max_workers() -> int:
-    cap = os.environ.get("BLINKWILD_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -60,6 +52,18 @@ def _closed_frame_index(clip: dataset.Clip) -> int:
 # subcommands
 
 
+def _write_dataset(out: str, clips) -> None:
+    """Save each ``(split, name, clip)`` as ``clips`` yields it, then write
+    ``out``/manifest.tsv. The first save creates ``out``."""
+    entries = []
+    for split, name, clip in clips:
+        path = os.path.join(out, name)
+        dataset.save_clip(path, clip)
+        entries.append(dataset.ManifestEntry(path, clip.label, split, name))
+    os.makedirs(out, exist_ok=True)
+    dataset.write_manifest(os.path.join(out, "manifest.tsv"), entries)
+
+
 def cmd_synth(args) -> int:
     kinds = []  # (split, label) of each clip, in seed order
     for split in ("train", "test"):
@@ -69,44 +73,30 @@ def cmd_synth(args) -> int:
                 raise ValueError(f"--{split}-{label} must be >= 0, got "
                                  f"{count}")
             kinds += [(split, label)] * count
-    specs = [(split, label, args.seed * 1_000_003 + i)
-             for i, (split, label) in enumerate(kinds)]
-    os.makedirs(args.out, exist_ok=True)
-    entries = []
-
-    def build(spec):
-        split, label, seed = spec
-        return split, label, seed, dataset.synth_clip(seed, label, args.length)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        built = list(pool.map(build, specs))
-    for split, label, seed, clip in built:
-        name = f"{split}_{label}_{seed}"
-        clip_dir = os.path.join(args.out, name)
-        dataset.save_clip(clip_dir, clip)
-        entries.append(dataset.ManifestEntry(clip_dir, label, split, name))
-    manifest_path = os.path.join(args.out, "manifest.tsv")
-    dataset.write_manifest(manifest_path, entries)
-    print(f"wrote {len(entries)} clips and {manifest_path}")
+    _write_dataset(args.out, (
+        (split, f"{split}_{label}_{seed}",
+         dataset.synth_clip(seed, label, args.length))
+        for seed, (split, label) in enumerate(kinds, args.seed * 1_000_003)))
+    print(f"wrote {len(kinds)} clips and "
+          f"{os.path.join(args.out, 'manifest.tsv')}")
     return 0
 
 
 def cmd_polish(args) -> int:
     manifest = dataset.load_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
-    entries = []
-    for entry in manifest.entries:
-        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
-        closed = (_closed_frame_index(clip)
-                  if entry.label == dataset.LABEL_BLINK else None)
-        polished = dataset.polish_clip(clip, args.target_len, closed)
-        clip_dir = os.path.join(args.out, entry.source_id)
-        dataset.save_clip(clip_dir, polished)
-        entries.append(dataset.ManifestEntry(clip_dir, entry.label,
-                                             entry.split, entry.source_id))
-    manifest_path = os.path.join(args.out, "manifest.tsv")
-    dataset.write_manifest(manifest_path, entries)
-    print(f"polished {len(entries)} clips to {args.target_len} frames")
+
+    def polished():
+        for entry in manifest.entries:
+            clip = dataset.load_clip(entry.clip_dir, entry.label,
+                                     entry.source_id)
+            closed = (_closed_frame_index(clip)
+                      if entry.label == dataset.LABEL_BLINK else None)
+            yield entry.split, entry.source_id, dataset.polish_clip(
+                clip, args.target_len, closed)
+
+    _write_dataset(args.out, polished())
+    print(f"polished {len(manifest.entries)} clips to {args.target_len} "
+          f"frames")
     return 0
 
 
@@ -272,8 +262,12 @@ def cmd_eval(args) -> int:
                                         dataset.LABEL_NONBLINK):
                     raise PredictionsError(f"{where}: label {row['label']!r} "
                                            f"is not blink or nonblink")
+                if row["lost"] not in ("0", "1"):
+                    raise PredictionsError(f"{where}: lost {row['lost']!r} "
+                                           f"is not 0 or 1")
                 outcomes[eye].append((confidence, truth[row["clip"]],
-                                      row["label"] == dataset.LABEL_BLINK))
+                                      row["label"] == dataset.LABEL_BLINK
+                                      and row["lost"] == "0"))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise PredictionsError(f"{args.predictions}: not a readable CSV "
                                f"({exc})") from None

@@ -254,8 +254,9 @@ def _eye_from_fields(x: float, y: float) -> EyeCenter:
 
 
 def load_annotations(path: str) -> list[AnnotationRecord]:
-    """Records of an annotation CSV; a malformed header or row raises
-    AnnotationError naming the file, and the line of a bad row."""
+    """Records of an annotation CSV, frames numbered 0..n-1 in row order;
+    a malformed header or row, or no row at all, raises AnnotationError
+    naming the file, and the line of a bad row."""
     try:
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -281,11 +282,16 @@ def load_annotations(path: str) -> list[AnnotationRecord]:
             raise AnnotationError(f"{where}: non-numeric field") from None
         if not all(map(math.isfinite, values)):
             raise AnnotationError(f"{where}: non-finite field")
+        if frame != len(records):
+            raise AnnotationError(f"{where}: frame {frame}, expected "
+                                  f"{len(records)}")
         fx, fy, fw, fh, lx, ly, rx, ry = values
         records.append(AnnotationRecord(
             frame_index=frame, face_box=(fx, fy, fw, fh),
             left_eye=_eye_from_fields(lx, ly),
             right_eye=_eye_from_fields(rx, ry)))
+    if not records:
+        raise AnnotationError(f"{path}: no annotation rows")
     return records
 
 

@@ -4,7 +4,6 @@ import filecmp
 import io
 import json
 import os
-import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -110,19 +109,24 @@ def test_synth_deterministic(tmp_path):
     assert _same_tree(str(tmp_path / "a"), str(tmp_path / "b"))
 
 
-def test_synth_same_at_any_thread_count(tmp_path, monkeypatch):
-    out = tmp_path / "data"
-    trees = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BLINKWILD_THREADS", threads)
-        assert run(["--seed", 4, "synth", "--out", out,
-                    "--train-blink", 3, "--train-nonblink", 3,
-                    "--test-blink", 2, "--test-nonblink", 2]) == 0
-        trees.append({p.relative_to(out): p.read_bytes()
-                      for p in out.rglob("*") if p.is_file()})
-        shutil.rmtree(out)
-    assert len(trees[0]) > 10 * 10  # ten clips' frames and annotations
-    assert trees[0] == trees[1]
+def test_synth_saves_each_clip_before_rendering_the_next(tmp_path,
+                                                         monkeypatch):
+    calls = []
+
+    def recorded(name):
+        original = getattr(dataset, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("synth_clip", "save_clip"):
+        monkeypatch.setattr(dataset, name, recorded(name))
+    assert run(["--seed", 4, "synth", "--out", tmp_path / "data",
+                "--train-blink", 2, "--train-nonblink", 1,
+                "--test-blink", 1, "--test-nonblink", 1]) == 0
+    assert calls == ["synth_clip", "save_clip"] * 5
 
 
 @pytest.mark.parametrize("flag", ["--train-blink", "--train-nonblink",
@@ -136,6 +140,22 @@ def test_synth_negative_count_is_one_line_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and flag in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["synth", "polish"])
+def test_bad_length_is_one_line_error_and_leaves_no_out(small_dataset,
+                                                         tmp_path, capsys,
+                                                         sub):
+    out = tmp_path / "data"
+    argv = {"synth": ["synth", "--train-blink", 1, "--train-nonblink", 0,
+                      "--test-blink", 0, "--test-nonblink", 0,
+                      "--length", 0],
+            "polish": ["polish", "--manifest", small_dataset / "manifest.tsv",
+                       "--target-len", 0]}[sub]
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 
@@ -165,14 +185,15 @@ def test_closed_frame_index_is_minimum_aperture(length):
 
 def test_train_outputs(small_dataset, small_model, tmp_path):
     loss_csv = str(small_model).replace(".bin", "_loss.csv")
-    rows = open(loss_csv).read().strip().splitlines()
+    with open(loss_csv) as f:
+        rows = f.read().strip().splitlines()
     assert rows[0] == "step,loss"
     assert len(rows) - 1 == 60
     again = tmp_path / "m2.bin"
     assert run(["--seed", 3, "train", "--manifest",
                 small_dataset / "manifest.tsv", "--model", again,
                 "--steps", 60, "--batch-size", 8, "--hidden", 8]) == 0
-    assert open(small_model, "rb").read() == open(again, "rb").read()
+    assert small_model.read_bytes() == again.read_bytes()
 
 
 @pytest.mark.parametrize("argv, name", [(["--hidden", 0], "hidden"),
@@ -339,6 +360,13 @@ def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
      [":4:", "repeated", "{clip}", "'left'"]),
     ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
      "{clip},right,bogus,0.8,0\n", [":3:", "label", "'bogus'"]),
+    ("clip,eye,label,confidence\n{clip},left,blink,0.9\n", ["lost"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,2\n",
+     [":2:", "lost", "'2'"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,0\n"
+     "{clip},right,blink,0.8,\n", [":3:", "lost", "''"]),
+    ("clip,eye,label,confidence,lost\n{clip},left,blink,0.9,true\n",
+     [":2:", "lost", "'true'"]),
 ])
 def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
                                                 capsys, rows, names):
@@ -354,6 +382,29 @@ def test_eval_bad_predictions_is_one_line_error(small_dataset, tmp_path,
     assert err[0].startswith(f"error: {preds}")
     for name in names:
         assert name.format(clip=man.entries[0].source_id) in err[0]
+
+
+def test_eval_lost_row_is_not_a_blink_verdict(small_dataset, tmp_path):
+    """As in verify, a lost track's verdict does not count as a blink,
+    whatever label its row carries."""
+    manifest = small_dataset / "manifest.tsv"
+    test = dataset.load_manifest(str(manifest)).split("test")
+    blinks = [e.source_id for e in test if e.label == dataset.LABEL_BLINK]
+    recalls = []
+    for lost_clip in (None, blinks[0]):
+        preds = tmp_path / "predictions.csv"
+        preds.write_text("clip,eye,label,confidence,lost\n" + "".join(
+            f"{e.source_id},{eye},{e.label},0.5,"
+            f"{int(e.source_id == lost_clip and eye == 'left')}\n"
+            for e in test for eye in pipeline.EYES))
+        assert run(["eval", "--predictions", preds, "--manifest", manifest,
+                    "--out", tmp_path / "report"]) == 0
+        per_eye = json.loads((tmp_path / "report.json").read_text())[
+            "per_eye"]
+        recalls.append((per_eye["left"]["recall"],
+                        per_eye["right"]["recall"]))
+    n = len(blinks)
+    assert recalls == [(1.0, 1.0), ((n - 1) / n, 1.0)]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -352,7 +352,11 @@ _ROW = "0,5.0,5.0,30.0,30.0,12.0,20.0,27.0,20.0"
     ([_ROW.replace("30.0", "thirty", 1)], ":2: non-numeric"),
     ([_ROW.replace("30.0", "nan", 1)], ":2: non-finite"),
     ([_ROW, "", "3,1"], ":4: expected 9 fields, got 2"),
-], ids=["short", "text", "nan", "stub"])
+    ([], ": no annotation rows"),
+    ([_ROW, _ROW], ":3: frame 0, expected 1"),
+    ([_ROW, "2" + _ROW[1:]], ":3: frame 2, expected 1"),
+], ids=["short", "text", "nan", "stub", "header-only", "repeated",
+        "skipped"])
 def test_annotation_row_errors_name_file_and_line(tmp_path, rows, says):
     path = tmp_path / "annotations.csv"
     path.write_text("\n".join([",".join(dataset.ANNOTATION_HEADER), *rows]))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def test_report_emission_deterministic(tmp_path):
     for name in ("a", "b"):
         path = str(tmp_path / name)
         evaluation.emit_report(report, path)
-        blobs.append(tuple(open(path + suffix, "rb").read()
+        blobs.append(tuple(Path(path + suffix).read_bytes()
                            for suffix in (".json", ".csv", "_pr.csv")))
     assert blobs[0] == blobs[1]
 
@@ -228,6 +229,6 @@ def test_pr_curve_row_count(tmp_path):
     report = _sample_report()  # 5 events, 4 distinct confidences
     path = str(tmp_path / "rep")
     evaluation.emit_report(report, path)
-    lines = open(path + "_pr.csv").read().strip().splitlines()
+    lines = Path(path + "_pr.csv").read_text().strip().splitlines()
     assert lines[0] == "threshold,precision,recall"
     assert len(lines) - 1 == 4 + 1  # distinct thresholds + the +inf row

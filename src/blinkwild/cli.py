@@ -24,7 +24,7 @@ from . import dataset, evaluation, features, mslstm, pipeline
 from .errors import BlinkwildError, PredictionsError
 
 EYES = pipeline.EYES
-PREDICTION_COLUMNS = {"clip", "eye", "label", "confidence", "lost"}
+PREDICTION_COLUMNS = ("clip", "eye", "label", "confidence", "lost")
 BENCH_STREAM_LEN = 50  # frames per synthetic stream that bench times
 
 
@@ -73,6 +73,8 @@ def cmd_synth(args) -> int:
                 raise ValueError(f"--{split}-{label} must be >= 0, got "
                                  f"{count}")
             kinds += [(split, label)] * count
+    for label in dict.fromkeys(label for _, label in kinds):
+        dataset.check_synth(label, args.length)
     _write_dataset(args.out, (
         (split, f"{split}_{label}_{seed}",
          dataset.synth_clip(seed, label, args.length))
@@ -137,108 +139,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _me_ok(box, rec, eye: str) -> bool:
-    if not (rec.left_eye.visible and rec.right_eye.visible):
-        return True  # ME undefined without both gt centers; not counted
-    center = rec.left_eye if eye == "left" else rec.right_eye
-    err = evaluation.me(box[:2], center, rec.left_eye, rec.right_eye)
-    return err <= evaluation.ME_THRESHOLD
-
-
-def _report(args, outcomes, fr_by_eye, path) -> None:
-    """Write the report at ``path`` and print one summary line per eye.
-
-    ``outcomes`` maps each eye to (confidence, is_blink, predicted_blink)
-    triples; ``fr_by_eye`` holds the FR of the eyes it was measured for.
-    """
-    per_eye = {}
-    for eye in EYES:
-        recall, precision, f1 = evaluation.prf(evaluation.confusion(
-            (is_blink, predicted) for _, is_blink, predicted in outcomes[eye]))
-        per_eye[eye] = {"recall": recall, "precision": precision,
-                        "f1": f1, "fr": fr_by_eye.get(eye, 0.0)}
-    scores = [(conf, is_blink) for eye in EYES
-              for conf, is_blink, _ in outcomes[eye]]
-    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
-                                   config_hash=_config_hash(args),
-                                   scores=scores)
-    evaluation.emit_report(report, path)
-    for eye in EYES:
-        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
-                                    for k, v in per_eye[eye].items()))
-
-
-def cmd_verify(args) -> int:
-    manifest = dataset.load_manifest(args.manifest)
-    model = mslstm.load_model(args.model)
-    rows = []
-    outcomes = {eye: [] for eye in EYES}
-    tally = {eye: [0, 0, 0] for eye in EYES}  # miss, err, all
-    for entry in manifest.split("test"):
-        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
-        streams = pipeline.track_eyes(clip.frames,
-                                      pipeline.annotation_locator(clip))
-        verdicts = pipeline.verify_streams(clip.frames, streams, model)
-        is_blink = entry.label == dataset.LABEL_BLINK
-        for eye in EYES:
-            v = verdicts[eye]
-            rows.append([entry.source_id, eye, v.label,
-                         repr(v.confidence), int(v.lost)])
-            outcomes[eye].append((v.confidence, is_blink,
-                                  v.label == dataset.LABEL_BLINK
-                                  and not v.lost))
-            if is_blink:
-                tally[eye][2] += 1
-                if v.lost:
-                    tally[eye][0] += 1
-                elif not all(_me_ok(box, rec, eye) for box, rec in
-                             zip(streams[eye].boxes, clip.annotations)):
-                    tally[eye][1] += 1
-
-    os.makedirs(args.out, exist_ok=True)
-    pred_path = os.path.join(args.out, "predictions.csv")
-    with open(pred_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["clip", "eye", "label", "confidence", "lost"])
-        writer.writerows(rows)
-    fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
-                 for eye, counts in tally.items() if counts[2]}
-    _report(args, outcomes, fr_by_eye, os.path.join(args.out, "report"))
-    return 0
-
-
-def cmd_detect(args) -> int:
-    clip = dataset.load_clip(args.frames, dataset.LABEL_NONBLINK, "stream")
-    model = mslstm.load_model(args.model)
-    events = pipeline.detect_stream(
-        clip.frames, pipeline.annotation_locator(clip), model,
-        window=args.window, stride=args.stride,
-        conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh)
-    with open(args.out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eye", "start", "end", "confidence"])
-        for ev in events:
-            writer.writerow([ev.eye, ev.start, ev.end, repr(ev.confidence)])
-    print(f"{len(events)} events -> {args.out}")
-    return 0
-
-
-def cmd_eval(args) -> int:
-    truth = {}
-    manifest = dataset.load_manifest(args.manifest)
-    for entry in manifest.entries:
-        truth[entry.source_id] = entry.label == dataset.LABEL_BLINK
-    outcomes = {eye: [] for eye in EYES}
+def _score(args, manifest, predictions, fr_by_eye, path) -> None:
+    """Check every row of the predictions CSV at ``predictions`` against
+    ``manifest``, write the report at ``path`` and print one line per eye.
+    ``fr_by_eye`` holds the FR of the eyes it was measured for."""
+    truth = {entry.source_id: entry.label == dataset.LABEL_BLINK
+             for entry in manifest.entries}
+    outcomes = {eye: [] for eye in EYES}  # (confidence, is_blink, predicted)
     seen = set()
     try:
-        with open(args.predictions, newline="") as f:
+        with open(predictions, newline="") as f:
             reader = csv.DictReader(f)
-            missing = PREDICTION_COLUMNS - set(reader.fieldnames or ())
+            missing = set(PREDICTION_COLUMNS) - set(reader.fieldnames or ())
             if missing:
-                raise PredictionsError(f"{args.predictions}: missing columns "
+                raise PredictionsError(f"{predictions}: missing columns "
                                        f"{sorted(missing)}")
             for row in reader:
-                where = f"{args.predictions}:{reader.line_num}"
+                where = f"{predictions}:{reader.line_num}"
                 eye = row["eye"]
                 if eye not in outcomes:
                     raise PredictionsError(f"{where}: unknown eye {eye!r}")
@@ -269,9 +186,79 @@ def cmd_eval(args) -> int:
                                       row["label"] == dataset.LABEL_BLINK
                                       and row["lost"] == "0"))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise PredictionsError(f"{args.predictions}: not a readable CSV "
+        raise PredictionsError(f"{predictions}: not a readable CSV "
                                f"({exc})") from None
-    _report(args, outcomes, {}, args.out)
+    per_eye = {}
+    for eye in EYES:
+        recall, precision, f1 = evaluation.prf(evaluation.confusion(
+            (is_blink, predicted) for _, is_blink, predicted in outcomes[eye]))
+        per_eye[eye] = {"recall": recall, "precision": precision,
+                        "f1": f1, "fr": fr_by_eye.get(eye, 0.0)}
+    scores = [(conf, is_blink) for eye in EYES
+              for conf, is_blink, _ in outcomes[eye]]
+    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
+                                   config_hash=_config_hash(args),
+                                   scores=scores)
+    evaluation.emit_report(report, path)
+    for eye in EYES:
+        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
+                                    for k, v in per_eye[eye].items()))
+
+
+def cmd_verify(args) -> int:
+    manifest = dataset.load_manifest(args.manifest)
+    model = mslstm.load_model(args.model)
+    rows = []
+    tally = {eye: [0, 0, 0] for eye in EYES}  # miss, err, all
+    for entry in manifest.split("test"):
+        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
+        streams = pipeline.track_eyes(clip.frames,
+                                      pipeline.annotation_locator(clip))
+        verdicts = pipeline.verify_streams(clip.frames, streams, model)
+        for eye in EYES:
+            v = verdicts[eye]
+            rows.append([entry.source_id, eye, v.label,
+                         repr(v.confidence), int(v.lost)])
+            if entry.label == dataset.LABEL_BLINK:
+                tally[eye][2] += 1
+                if v.lost:
+                    tally[eye][0] += 1
+                elif not evaluation.localized(streams[eye].boxes,
+                                              clip.annotations, eye):
+                    tally[eye][1] += 1
+
+    os.makedirs(args.out, exist_ok=True)
+    pred_path = os.path.join(args.out, "predictions.csv")
+    with open(pred_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(PREDICTION_COLUMNS)
+        writer.writerows(rows)
+    fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
+                 for eye, counts in tally.items() if counts[2]}
+    _score(args, manifest, pred_path, fr_by_eye,
+           os.path.join(args.out, "report"))
+    return 0
+
+
+def cmd_detect(args) -> int:
+    clip = dataset.load_clip(args.frames, dataset.LABEL_NONBLINK, "stream")
+    model = mslstm.load_model(args.model)
+    events = pipeline.detect_stream(
+        clip.frames, pipeline.annotation_locator(clip), model,
+        window=args.window, stride=args.stride,
+        conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh)
+    with open(args.out, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["eye", "start", "end", "confidence"])
+        for ev in events:
+            writer.writerow([ev.eye, ev.start, ev.end, repr(ev.confidence)])
+    print(f"{len(events)} events -> {args.out}")
+    return 0
+
+
+def cmd_eval(args) -> int:
+    _score(args, dataset.load_manifest(args.manifest), args.predictions, {},
+           args.out)
     return 0
 
 

@@ -472,17 +472,22 @@ def _synth_frames(seed: int, label: str, length: int,
                 source_id=f"synth-{label}-{seed}")
 
 
-def synth_clip(seed: int, label: str, length: int = DEFAULT_CLIP_LEN) -> Clip:
-    """Deterministic stylized eye clip: bright sclera, dark pupil, eyelid
-    aperture 1->0->1 for blinks (minimum at the middle frame) or held near 1
-    with jitter for non-blinks; seeded noise, brightness shift and sub-pixel
-    drift throughout."""
+def check_synth(label: str, length: int) -> None:
+    """ValueError unless ``synth_clip`` can render ``label`` at ``length``."""
     if label not in (LABEL_BLINK, LABEL_NONBLINK):
         raise ValueError(f"unknown label {label!r}")
     if label == LABEL_BLINK and length < 3:
         raise ValueError("blink clips need length >= 3")
     if length < 1:
         raise ValueError("length must be >= 1")
+
+
+def synth_clip(seed: int, label: str, length: int = DEFAULT_CLIP_LEN) -> Clip:
+    """Deterministic stylized eye clip: bright sclera, dark pupil, eyelid
+    aperture 1->0->1 for blinks (minimum at the middle frame) or held near 1
+    with jitter for non-blinks; seeded noise, brightness shift and sub-pixel
+    drift throughout."""
+    check_synth(label, length)
     return _synth_frames(seed, label, length)
 
 

@@ -63,6 +63,15 @@ def me(detected, gt, gt_left, gt_right) -> float:
     return manhattan(detected, gt) / denom
 
 
+def localized(boxes, annotations, eye: str) -> bool:
+    """Whether every box of the ``eye`` track has ME <= ``ME_THRESHOLD``;
+    a frame without both gt centers has no ME and does not count."""
+    return all(me(box[:2], rec.left_eye if eye == "left" else rec.right_eye,
+                  rec.left_eye, rec.right_eye) <= ME_THRESHOLD
+               for box, rec in zip(boxes, annotations)
+               if rec.left_eye.visible and rec.right_eye.visible)
+
+
 def fr(tally: LocalizationTally) -> float:
     """(n_miss + n_err) / n_all."""
     if tally.n_all <= 0:

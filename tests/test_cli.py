@@ -143,7 +143,7 @@ def test_synth_negative_count_is_one_line_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sub", ["synth", "polish"])
+@pytest.mark.parametrize("sub", ["synth", "synth_blink_last", "polish"])
 def test_bad_length_is_one_line_error_and_leaves_no_out(small_dataset,
                                                          tmp_path, capsys,
                                                          sub):
@@ -151,6 +151,11 @@ def test_bad_length_is_one_line_error_and_leaves_no_out(small_dataset,
     argv = {"synth": ["synth", "--train-blink", 1, "--train-nonblink", 0,
                       "--test-blink", 0, "--test-nonblink", 0,
                       "--length", 0],
+            # a nonblink clip renders at length 2, the blink clip after it
+            # does not
+            "synth_blink_last": ["synth", "--train-blink", 0,
+                                 "--train-nonblink", 1, "--test-blink", 1,
+                                 "--test-nonblink", 0, "--length", 2],
             "polish": ["polish", "--manifest", small_dataset / "manifest.tsv",
                        "--target-len", 0]}[sub]
     assert run(argv + ["--out", out]) == 1
@@ -225,7 +230,17 @@ def test_verify_and_eval(small_dataset, small_model, tmp_path):
     assert run(["eval", "--predictions", preds, "--manifest",
                 small_dataset / "manifest.tsv",
                 "--out", tmp_path / "rescore"]) == 0
-    assert (tmp_path / "rescore.json").exists()
+    # eval of verify's own predictions agrees with verify; only FR, which
+    # a predictions file cannot carry, differs
+    per_eye = {name: json.loads(path.read_text())["per_eye"] for name, path
+               in (("verify", out / "report.json"),
+                   ("eval", tmp_path / "rescore.json"))}
+    for eye in pipeline.EYES:
+        for key in ("recall", "precision", "f1"):
+            assert per_eye["eval"][eye][key] == per_eye["verify"][eye][key]
+        assert per_eye["eval"][eye]["fr"] == 0.0
+    assert ((tmp_path / "rescore_pr.csv").read_bytes()
+            == (out / "report_pr.csv").read_bytes())
 
 
 def test_detect_writes_events(small_model, tmp_path):
@@ -278,6 +293,37 @@ def test_verify_region_too_small_ends_track(small_dataset, small_model,
                                  for eye in pipeline.EYES]
     assert rows["tiny"][3:] == rows["base"][3:]
     assert rows["base"][1:3] != rows["tiny"][1:3]
+
+
+def test_verify_fr_counts_a_kept_box_off_its_annotation(small_model,
+                                                        tmp_path):
+    """The image stands still while the annotated face moves 20 px after
+    frame 0: each track keeps its box, half an inter-ocular distance from
+    the annotated center, so FR counts an ME error for each eye and no
+    track is lost."""
+    clip = dataset.synth_clip(5, dataset.LABEL_BLINK, 10)
+    first = clip.annotations[0]
+    x, y, w, h = first.face_box
+    moved = dataclasses.replace(
+        first, face_box=(x + 20, y, w, h),
+        left_eye=dataset.EyeCenter(first.left_eye.x + 20, first.left_eye.y),
+        right_eye=dataset.EyeCenter(first.right_eye.x + 20,
+                                    first.right_eye.y))
+    clip.frames = [clip.frames[0]] * len(clip.frames)
+    clip.annotations = [first] + [dataclasses.replace(moved, frame_index=t)
+                                  for t in range(1, len(clip.frames))]
+    clip_dir = str(tmp_path / "moved")
+    dataset.save_clip(clip_dir, clip)
+    manifest = tmp_path / "moved.tsv"
+    dataset.write_manifest(str(manifest), [dataset.ManifestEntry(
+        clip_dir, dataset.LABEL_BLINK, "test", "moved")])
+    out = tmp_path / "run"
+    assert run(["verify", "--manifest", manifest, "--model", small_model,
+                "--out", out]) == 0
+    rows = (out / "predictions.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "0"]
+    per_eye = json.loads((out / "report.json").read_text())["per_eye"]
+    assert [per_eye[eye]["fr"] for eye in pipeline.EYES] == [1.0, 1.0]
 
 
 def test_bench_json(small_model, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from blinkwild import evaluation
 from blinkwild.errors import DegenerateGeometryError
 from blinkwild.pipeline import BlinkEvent, temporal_iou
+from conftest import make_annotation
 
 
 def reference_ap(events, gt, overlap=0.5):
@@ -81,6 +82,19 @@ def test_me_failure_case():
     val = evaluation.me((8, 8), (5, 5), (0, 0), (5, 5))
     assert val == pytest.approx(0.6)
     assert val > evaluation.ME_THRESHOLD
+
+
+def test_localized_counts_only_frames_with_both_eyes():
+    both = make_annotation(0, left=(0, 0), right=(5, 5))
+    one = make_annotation(1, left=(-1, -1), right=(5, 5))
+    # ME exactly ME_THRESHOLD is correct (4 / 10 == 0.4 in floats)
+    assert evaluation.localized([(7, 7, 4, 4)], [both], "right")
+    assert not evaluation.localized([(8, 8, 4, 4)], [both], "right")
+    # the left gt center is unannotated on frame 1: no ME, no error
+    assert evaluation.localized([(0, 0, 4, 4), (30, 30, 4, 4)],
+                                [both, one], "left")
+    assert not evaluation.localized([(0, 0, 4, 4), (30, 30, 4, 4)],
+                                    [both, both], "left")
 
 
 def test_me_degenerate_geometry():

@@ -353,14 +353,19 @@ def test_nms_malformed_interval():
         pipeline.temporal_nms([_event(5, 3, 0.5)])
 
 
-def test_nms_matches_brute_force(rng):
+# drawing from three levels makes equal confidences common, so the
+# tie-break decides which of two overlapping proposals survives
+@pytest.mark.parametrize("draw", [lambda rng: rng.uniform(0, 1),
+                                  lambda rng: rng.choice([0.3, 0.6, 0.9])],
+                         ids=["uniform", "ties"])
+def test_nms_matches_brute_force(rng, draw):
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         proposals = []
         for _ in range(n):
             start = int(rng.integers(0, 31))
             end = start + int(rng.integers(0, 10))
-            conf = float(rng.uniform(0, 1))
+            conf = float(draw(rng))
             eye = "left" if rng.integers(2) else "right"
             proposals.append(_event(start, end, conf, eye))
         thresh = float(rng.choice([0.2, 0.33, 0.5]))
@@ -424,6 +429,32 @@ def test_detect_window_count(monkeypatch):
     assert events == []
     # both eyes, floor((50-10)/1)+1 windows of 9 steps each, one call each
     assert calls == [(41, 9, 118)] * 2
+
+
+@pytest.mark.parametrize("frames_locate,window,want", [
+    # a stream exactly one window long
+    (lambda: _stream_and_locator(10), 10, [(1, 9, 118)] * 2),
+    # left lost at frame 7, right tracked over all 16 frames
+    (leaving_frames, 7, [(1, 6, 118), (10, 6, 118)]),
+])
+def test_detect_scores_a_window_ending_at_the_last_tracked_frame(
+        monkeypatch, frames_locate, window, want):
+    calls = _stub_predict(monkeypatch)
+    frames, locate = frames_locate()
+    pipeline.detect_stream(frames, locate,
+                           tiny_model(input_dim=118, hidden=4), window=window)
+    assert calls == want
+
+
+def test_detect_keeps_a_window_at_the_confidence_threshold():
+    clip, _ = dataset.synth_stream(1, 20, blink_center=10)
+    locate = pipeline.annotation_locator(clip)
+    model = tiny_model(input_dim=118, hidden=4)
+    top = max(e.confidence for e in pipeline.detect_stream(
+        clip.frames, locate, model, conf_thresh=0.0))
+    events = pipeline.detect_stream(clip.frames, locate, model,
+                                    conf_thresh=top)
+    assert top in [e.confidence for e in events]
 
 
 def test_detect_stride(monkeypatch):

@@ -1,0 +1,176 @@
+"""Mutation probe: does some test fail when a rule of the program is broken?
+
+Each mutant below replaces one line of ``src/blinkwild``. For each, the probe
+copies the tree into a temporary directory, applies the mutant there, runs
+the test files that cover the mutated module with ``pytest -x -q`` and
+prints ``killed`` (a test failed) or ``survived``. The checkout is never
+written to. An equivalent mutant cannot be told apart from the program by
+any input the tests could give; it carries its reason and is expected to
+survive. Exits 1 when a mutant that is not equivalent survives.
+
+    python3 tools/mutants.py
+
+It runs the tests once unmutated first, then each mutant; expect about five
+minutes on two cores. Add a mutant for every rule a change adds.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the test files that exercise each module
+COVERS = {
+    "cli": ["tests/test_cli.py"],
+    "dataset": ["tests/test_dataset.py", "tests/test_pipeline.py",
+                "tests/test_cli.py"],
+    "evaluation": ["tests/test_evaluation.py", "tests/test_cli.py",
+                   "tests/test_acceptance.py"],
+    "features": ["tests/test_features.py", "tests/test_pipeline.py",
+                 "tests/test_acceptance.py"],
+    "mslstm": ["tests/test_mslstm.py", "tests/test_pipeline.py",
+               "tests/test_acceptance.py"],
+    "pipeline": ["tests/test_pipeline.py", "tests/test_acceptance.py"],
+    "tracker": ["tests/test_tracker.py", "tests/test_pipeline.py",
+                "tests/test_acceptance.py"],
+}
+
+# (name, module, line as in the source, mutated line, equivalence reason)
+MUTANTS = [
+    ("energy Nyquist column", "tracker",
+     "        twice -= power[:, -1].sum()",
+     "        twice -= 0.0", None),
+    ("padded-size axes", "tracker",
+     "    size = (int(round(region[2] * PADDING)), "
+     "int(round(region[3] * PADDING)))",
+     "    size = (int(round(region[3] * PADDING)), "
+     "int(round(region[2] * PADDING)))", None),
+    ("motion sign", "features",
+     "    steps[:, N_BINS:] = hists[1:] - hists[:-1]",
+     "    steps[:, N_BINS:] = hists[:-1] - hists[1:]", None),
+    ("AP overlap reached", "evaluation",
+     "        if best >= 0 and best_iou >= AP_OVERLAP:",
+     "        if best >= 0 and best_iou > AP_OVERLAP:", None),
+    ("crop offset", "dataset",
+     "    x0 = int(round(center.x)) - w // 2",
+     "    x0 = int(round(center.x)) - w // 2 + 1", None),
+    ("one-eye face-width rule", "dataset",
+     "        size = face_box[2] / 9.0",
+     "        size = face_box[3] / 9.0", None),
+    ("re-localized frame's score", "pipeline",
+     "                    stream.scores.append(score)",
+     "                    stream.scores.append(1.0)", None),
+    ("synth checks --length before it saves", "cli",
+     "        dataset.check_synth(label, args.length)",
+     "        pass", None),
+    ("FR counts ME errors", "cli",
+     "                    tally[eye][1] += 1",
+     "                    pass", None),
+    ("ME needs both gt centers", "evaluation",
+     "               if rec.left_eye.visible and rec.right_eye.visible)",
+     "               if rec.left_eye.visible or rec.right_eye.visible)", None),
+    ("ME threshold inclusive", "evaluation",
+     "                  rec.left_eye, rec.right_eye) <= ME_THRESHOLD",
+     "                  rec.left_eye, rec.right_eye) < ME_THRESHOLD", None),
+    ("NMS tie-break on start", "pipeline",
+     "                     key=lambda p: (-p.confidence, p.start, "
+     "EYES.index(p.eye)))",
+     "                     key=lambda p: (-p.confidence, -p.start, "
+     "EYES.index(p.eye)))", None),
+    ("detect scores a track of exactly one window", "pipeline",
+     "        if tracked >= window:",
+     "        if tracked > window:", None),
+    ("detect threshold inclusive", "pipeline",
+     "                         for s, c in zip(starts, confs) "
+     "if c >= conf_thresh]",
+     "                         for s, c in zip(starts, confs) "
+     "if c > conf_thresh]", None),
+    ("re-localization trigger inclusive", "pipeline",
+     "            if score < TRACK_THRESH:",
+     "            if score <= TRACK_THRESH:",
+     "the trigger differs only on a response peak equal to 0.25 to the "
+     "last bit, which a continuous correlation score does not produce"),
+    ("unwrap at exactly N/2", "tracker",
+     "    return idx - n if idx >= (n + 1) // 2 else idx",
+     "    return idx - n if idx > (n + 1) // 2 else idx",
+     "a lag of N/2 is the same circular shift either way, and it sits on "
+     "the Hann window's zero edge where the response never peaks"),
+    ("kcf_adapt clears the probe", "tracker",
+     "                   probe=None)",
+     "                   probe=state.probe)",
+     "every kcf_update sets probe, and only kcf_adapt after it reads it"),
+    ("predict shifts scores by their max", "mslstm",
+     "    z = scores - scores.max(axis=1, keepdims=True)",
+     "    z = scores",
+     "the scores are r*cos with tanh-bounded features, far below where "
+     "exp overflows; the shift only guards that case"),
+]
+
+
+def _copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache")
+    for name in ("src", "tests", "demos"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _mutate(tree: str, module: str, old: str, new: str) -> None:
+    path = os.path.join(tree, "src", "blinkwild", module + ".py")
+    with open(path) as f:
+        lines = f.read().split("\n")
+    hits = [i for i, line in enumerate(lines) if line == old]
+    if len(hits) != 1:
+        raise SystemExit(f"{module}.py: {len(hits)} lines read {old!r}; "
+                         f"a mutant must match exactly one")
+    lines[hits[0]] = new
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+
+
+def _tests_pass(tree: str, files: list[str]) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+         "no:cacheprovider", *files],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=900)
+    return result.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = os.path.join(tmp, "base")
+        _copy_tree(base)
+        every = sorted({f for files in COVERS.values() for f in files})
+        if not _tests_pass(base, every):
+            print("the unmutated tree fails its tests; no mutant was run")
+            return 1
+        shutil.rmtree(base)
+        missed = 0
+        for k, (name, module, old, new, reason) in enumerate(MUTANTS):
+            tree = os.path.join(tmp, str(k))
+            _copy_tree(tree)
+            _mutate(tree, module, old, new)
+            t0 = time.monotonic()
+            survived = _tests_pass(tree, COVERS[module])
+            shutil.rmtree(tree)
+            verdict = "survived" if survived else "killed"
+            note = f"  (equivalent: {reason})" if reason else ""
+            print(f"{verdict:8s} {module}: {name} "
+                  f"[{time.monotonic() - t0:.0f} s]{note}", flush=True)
+            missed += survived and reason is None
+    print(f"{missed} mutant(s) that are not equivalent survived")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

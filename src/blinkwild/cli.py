@@ -26,6 +26,13 @@ from .errors import BlinkwildError, PredictionsError
 EYES = pipeline.EYES
 PREDICTION_COLUMNS = ("clip", "eye", "label", "confidence", "lost")
 BENCH_STREAM_LEN = 50  # frames per synthetic stream that bench times
+# bench reports these as the process sees them; it does not set them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+# test clips that verify loads, tracks in lockstep and scores together; the
+# time per clip stops falling at about 8 clips, and a group holds its
+# clips' frames in memory at once
+CLIP_BATCH = 16
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -210,22 +217,29 @@ def cmd_verify(args) -> int:
     model = mslstm.load_model(args.model)
     rows = []
     tally = {eye: [0, 0, 0] for eye in EYES}  # miss, err, all
-    for entry in manifest.split("test"):
-        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
-        streams = pipeline.track_eyes(clip.frames,
-                                      pipeline.annotation_locator(clip))
-        verdicts = pipeline.verify_streams(clip.frames, streams, model)
-        for eye in EYES:
-            v = verdicts[eye]
-            rows.append([entry.source_id, eye, v.label,
-                         repr(v.confidence), int(v.lost)])
-            if entry.label == dataset.LABEL_BLINK:
-                tally[eye][2] += 1
-                if v.lost:
-                    tally[eye][0] += 1
-                elif not evaluation.localized(streams[eye].boxes,
-                                              clip.annotations, eye):
-                    tally[eye][1] += 1
+    entries = manifest.split("test")
+    for lo in range(0, len(entries), CLIP_BATCH):
+        group = entries[lo:lo + CLIP_BATCH]
+        clips = [dataset.load_clip(entry.clip_dir, entry.label,
+                                   entry.source_id) for entry in group]
+        tracks = pipeline.track_clips(
+            [(clip.frames, pipeline.annotation_locator(clip))
+             for clip in clips])
+        verdicts = pipeline.verify_streams([clip.frames for clip in clips],
+                                           tracks, model)
+        for entry, clip, streams, verdict in zip(group, clips, tracks,
+                                                 verdicts):
+            for eye in EYES:
+                v = verdict[eye]
+                rows.append([entry.source_id, eye, v.label,
+                             repr(v.confidence), int(v.lost)])
+                if entry.label == dataset.LABEL_BLINK:
+                    tally[eye][2] += 1
+                    if v.lost:
+                        tally[eye][0] += 1
+                    elif not evaluation.localized(streams[eye].boxes,
+                                                  clip.annotations, eye):
+                        tally[eye][1] += 1
 
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
@@ -295,14 +309,17 @@ def cmd_bench(args) -> int:
 
     table = {stage: stats(xs) for stage, xs in per_frame.items()}
     total_median = sum(v["median"] for v in table.values())
+    threads = {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}
     for stage, v in table.items():
         print(f"{stage:10s} mean={v['mean']:.3f}ms median={v['median']:.3f}ms "
               f"p95={v['p95']:.3f}ms")
     print(f"per-frame median total: {total_median:.3f}ms")
+    print("BLAS threads: " + " ".join(f"{var}={value}"
+                                      for var, value in threads.items()))
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"stages": table, "median_total_ms": total_median,
-                       "frames": frames_timed,
+                       "frames": frames_timed, "blas_threads": threads,
                        "config_hash": _config_hash(args)}, f, indent=2)
             f.write("\n")
     return 0

@@ -63,49 +63,123 @@ def annotation_locator(clip: Clip) -> EyeLocator:
     return locate
 
 
-def _track_one_eye(frames, locator: EyeLocator,
-                   eye_name: str) -> TrackedStream:
-    """Track one eye; a track that cannot start, or whose kept region
-    leaves the frame, ends there, with no box from that frame on."""
-    n = len(frames)
-    stream = TrackedStream(boxes=[], scores=[])
-    located = locator(frames[0], 0)
-    region = eye_box(located, eye_name) if located else None
-    t = 0
-    try:
-        if region is None:
-            raise TrackLostError("eye not located in the first frame")
-        state = tracker.kcf_init(frames[0], region)
-        stream.boxes.append(region)
-        stream.scores.append(1.0)
-        for t in range(1, n):
-            state, result = tracker.kcf_update(state, frames[t])
-            score = result.score
-            if score < TRACK_THRESH:
-                stream.reloc_indices.append(t)
-                located = locator(frames[t], t)
-                fresh = eye_box(located, eye_name) if located else None
-                if fresh is not None:
-                    state = tracker.kcf_init(frames[t], fresh)
-                    stream.boxes.append(fresh)
-                    stream.scores.append(score)
-                    continue
-                # locator failed: keep the tracker's best guess
-            state = tracker.kcf_adapt(state, frames[t])
-            stream.boxes.append(result.region)
-            stream.scores.append(score)
-    except TrackLostError:
+def track_clips(clips) -> list[dict[str, TrackedStream]]:
+    """Track both eyes of every ``(frames, locator)`` clip, all in lockstep.
+
+    At each frame index the live tracks of one padded size are the rows of
+    one ``tracker.KcfStack``: one stacked locate, then one stacked adapt of
+    the rows kept. The locator is asked at frame 0, and after that at most
+    once per clip per frame, when one of the clip's eyes scores below
+    ``TRACK_THRESH``. A re-localized row is learned afresh in place, or
+    moves to the stack of its new padded size; if the locator finds no box
+    for the eye, the row keeps the tracker's best guess. A track that cannot
+    start, or whose kept or re-localized region cannot be cropped, ends
+    there, with no box from that frame on, and its row leaves the stack, as
+    does every row of a clip with no more frames.
+    """
+    if any(not frames for frames, _ in clips):
+        raise ValueError("need at least one frame")
+    out = [{eye: TrackedStream(boxes=[], scores=[]) for eye in EYES}
+           for _ in clips]
+    stacks: dict[tuple[int, int], tracker.KcfStack] = {}
+
+    def end(key, t):
+        stream, n = out[key[0]][key[1]], len(clips[key[0]][0])
         stream.lost_from = t
         stream.boxes.extend([None] * (n - t))
         stream.scores.extend([0.0] * (n - t))
-    return stream
+
+    def start(key, t, region, score):
+        """Box ``region`` at frame t and return its padded size, or end the
+        track there when it cannot be cropped and return None."""
+        try:
+            size = tracker.track_size(clips[key[0]][0][t], region)
+        except TrackLostError:
+            end(key, t)
+            return None
+        out[key[0]][key[1]].boxes.append(region)
+        out[key[0]][key[1]].scores.append(score)
+        return size
+
+    def join(t, joins):
+        for size, rows in joins.items():
+            if size not in stacks:
+                stacks[size] = tracker.kcf_stack(size)
+            keys, regions = zip(*rows)
+            tracker.stack_join(stacks[size], keys,
+                               [clips[c][0][t] for c, _ in keys], regions)
+
+    joins = {}
+    for c, (frames, locate) in enumerate(clips):
+        located = locate(frames[0], 0)
+        for eye in EYES:
+            region = eye_box(located, eye) if located else None
+            if region is None:
+                end((c, eye), 0)
+            elif size := start((c, eye), 0, region, 1.0):
+                joins.setdefault(size, []).append(((c, eye), region))
+    join(0, joins)
+
+    for t in range(1, max((len(frames) for frames, _ in clips), default=0)):
+        for size in list(stacks):  # rows of clips with no more frames leave
+            tracker.stack_keep(stacks[size], [t < len(clips[c][0])
+                                              for c, _ in stacks[size].keys])
+            if not stacks[size].keys:
+                del stacks[size]
+        found = {}
+        asked = set()
+        for size, stack in stacks.items():
+            frames_t = [clips[c][0][t] for c, _ in stack.keys]
+            located = tracker.stack_locate(stack, frames_t)
+            low = located.scores < TRACK_THRESH
+            found[size] = frames_t, located, low
+            asked.update(c for (c, _), lo in zip(stack.keys, low) if lo)
+        records = {c: clips[c][1](clips[c][0][t], t) for c in sorted(asked)}
+        joins = {}
+        for size, (frames_t, located, low) in found.items():
+            stack = stacks[size]
+            keep = np.ones(len(stack.keys), dtype=bool)
+            relearn, kept = [], []
+            for row, (key, region, score) in enumerate(zip(
+                    stack.keys, located.regions.tolist(),
+                    located.scores.tolist())):
+                stream = out[key[0]][key[1]]
+                if low[row]:
+                    stream.reloc_indices.append(t)
+                    rec = records[key[0]]
+                    fresh = eye_box(rec, key[1]) if rec else None
+                    if fresh is not None:
+                        new_size = start(key, t, fresh, score)
+                        if new_size == size:
+                            relearn.append((row, fresh))
+                        else:  # lost, or moves to the stack of its size
+                            keep[row] = False
+                            if new_size:
+                                joins.setdefault(new_size, []).append(
+                                    (key, fresh))
+                        continue
+                    # locator failed: keep the tracker's best guess
+                if tracker.in_frame(frames_t[row], region):
+                    kept.append(row)
+                    stream.boxes.append(tuple(region))
+                    stream.scores.append(score)
+                else:
+                    end(key, t)
+                    keep[row] = False
+            if relearn:
+                rows, regions = zip(*relearn)
+                tracker.stack_learn(stack, list(rows),
+                                    [frames_t[row] for row in rows], regions)
+            if kept:
+                tracker.stack_adapt(stack, np.array(kept), frames_t, located)
+            tracker.stack_keep(stack, keep)
+        join(t, joins)
+    return out
 
 
 def track_eyes(frames, locator: EyeLocator) -> dict[str, TrackedStream]:
-    """Track both eyes independently over the frame list."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    return {eye: _track_one_eye(frames, locator, eye) for eye in EYES}
+    """Track both eyes over the frame list: ``track_clips`` on one clip."""
+    return track_clips([(frames, locator)])[0]
 
 
 @dataclass(frozen=True)
@@ -119,26 +193,36 @@ def verify_clip(clip: Clip, locator: EyeLocator,
                 model: mslstm.MsLstmModel) -> dict[str, EyeVerdict]:
     """Per-eye blink verdict for a fixed-length clip: track, then verify."""
     streams = track_eyes(clip.frames, locator)
-    return verify_streams(clip.frames, streams, model)
+    return verify_streams([clip.frames], [streams], model)[0]
 
 
-def verify_streams(frames, streams: dict[str, TrackedStream],
-                   model: mslstm.MsLstmModel) -> dict[str, EyeVerdict]:
-    """Per-eye blink verdict from the streams ``track_eyes`` returned.
+def verify_streams(clip_frames, streams: list[dict[str, TrackedStream]],
+                   model: mslstm.MsLstmModel) -> list[dict[str, EyeVerdict]]:
+    """Per-eye blink verdicts of many clips, in clip order, from each
+    clip's frames and the streams ``track_clips`` returned for it.
 
-    A track lost anywhere in the clip yields (nonblink, 0.0, lost) so it can
-    be counted as a false negative for blink-labelled clips.
+    Every kept track's sequence is scored with the others of its length in
+    one ``predict`` call. A track lost anywhere in the clip yields
+    (nonblink, 0.0, lost) so it can be counted as a false negative for
+    blink-labelled clips.
     """
-    out = {}
-    for eye, stream in streams.items():
-        if stream.lost_from is not None:
-            out[eye] = EyeVerdict("nonblink", 0.0, True)
-            continue
-        seq = features.featurize_frames(frames, stream.boxes)
-        label, conf = mslstm.predict(model, seq)
-        name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
-        out[eye] = EyeVerdict(name, conf, False)
-    return out
+    verdicts = [dict.fromkeys(tracks) for tracks in streams]
+    pending = {}  # sequence length -> [(clip index, eye, sequence)]
+    for i, (frames, tracks) in enumerate(zip(clip_frames, streams)):
+        for eye, stream in tracks.items():
+            if stream.lost_from is not None:
+                verdicts[i][eye] = EyeVerdict("nonblink", 0.0, True)
+                continue
+            seq = features.featurize_frames(frames, stream.boxes)
+            pending.setdefault(len(seq), []).append((i, eye, seq))
+    for batch in pending.values():
+        labels, confs = mslstm.predict(
+            model, np.stack([seq for _, _, seq in batch]))
+        for (i, eye, _), label, conf in zip(batch, labels.tolist(),
+                                            confs.tolist()):
+            name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
+            verdicts[i][eye] = EyeVerdict(name, conf, False)
+    return verdicts
 
 
 def temporal_iou(a: tuple[int, int], b: tuple[int, int]) -> float:

@@ -5,13 +5,18 @@ shifts of the target patch, solved in the Fourier domain. The model (the
 template and the dual coefficients) is kept as ``rfft2`` spectra, as in
 Henriques et al., "High-Speed Tracking with Kernelized Correlation Filters"
 (TPAMI 2015): each new patch is transformed once, and the learning-rate blend
-runs on the spectra. An update only locates the target (``kcf_update``); the
-retrain and blend (``kcf_adapt``) is a separate step a caller runs only on a
-track it keeps. The region size is fixed for the lifetime of a track; the
-peak of the real response map is exposed as the tracking score so callers can
-trigger re-localization; a crop centred outside the frame is the one thing
-that ends a track. The Hann window and target spectrum are built once
-per padded size and shared, read-only, by every track of that size.
+runs on the spectra. Locating the target and retraining the filter are
+separate steps; a caller retrains only a track it keeps. The region size is
+fixed for the lifetime of a track; the peak of the real response map is
+exposed as the tracking score so callers can trigger re-localization; a crop
+centred outside the frame is the one thing that ends a track. The Hann
+window and target spectrum are built once per padded size and shared,
+read-only, by every track of that size.
+
+The kernels take a leading track axis. A ``KcfStack`` keeps every track of
+one padded size as one row of stacked arrays, so that one call locates, or
+retrains, all of them (``stack_locate``, ``stack_adapt``); ``kcf_init``,
+``kcf_update`` and ``kcf_adapt`` run the same kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ LAMBDA = 1e-4               # ridge regularizer
 SIGMA_K = 0.2               # Gaussian kernel bandwidth
 PADDING = 2.5               # context around the target
 OUTPUT_SIGMA_FACTOR = 0.125  # target response width per padded side
+INTERP = 0.02               # template/alpha learning rate
 
 
 @dataclass(frozen=True)
 class KcfParams:
-    interp: float = 0.02           # template/alpha learning rate
+    interp: float = INTERP
 
 
 @dataclass
@@ -53,28 +59,52 @@ class TrackResult:
     score: float
 
 
-def _energy(x_hat: np.ndarray, width: int) -> float:
-    """||x||^2 from the rfft2 spectrum of x (Parseval).
+@dataclass
+class KcfStack:
+    """The tracks of one padded size: row i of ``template_hat``,
+    ``alpha_hat`` and ``regions`` is one track, ``keys[i]`` the caller's
+    name for it."""
+    window: np.ndarray = field(repr=False)        # Hann window, patch shape
+    y_hat: np.ndarray = field(repr=False)         # rfft2 of target response
+    template_hat: np.ndarray = field(repr=False)  # (tracks, H, W // 2 + 1)
+    alpha_hat: np.ndarray = field(repr=False)
+    regions: np.ndarray                           # (tracks, 4): cx, cy, h, w
+    keys: list
+
+
+@dataclass(frozen=True)
+class Located:
+    """What ``stack_locate`` found for each row of a stack."""
+    regions: np.ndarray      # (tracks, 4), moved to the response peak
+    scores: np.ndarray       # (tracks,) response peak
+    probe_hat: np.ndarray    # spectra of the patches at the old regions
+    probe_energy: np.ndarray
+    moved: np.ndarray        # (tracks,) bool: the peak shifted the region
+
+
+def _energy(x_hat: np.ndarray, width: int) -> np.ndarray:
+    """||x||^2 of each row from its rfft2 spectrum (Parseval).
 
     Columns 1..W/2 stand for their mirrored twins too, except column 0 and,
     for even W, the Nyquist column.
     """
     power = x_hat.real ** 2 + x_hat.imag ** 2
-    twice = 2.0 * power.sum() - power[:, 0].sum()
+    twice = 2.0 * power.sum(axis=(-2, -1)) - power[..., 0].sum(axis=-1)
     if width % 2 == 0:
-        twice -= power[:, -1].sum()
-    return float(twice) / (power.shape[0] * width)
+        twice -= power[..., -1].sum(axis=-1)
+    return twice / (power.shape[-2] * width)
 
 
-def _kernel(x_hat: np.ndarray, z_hat: np.ndarray, energy: float,
+def _kernel(x_hat: np.ndarray, z_hat: np.ndarray, energy,
             shape: tuple[int, int], sigma_k: float) -> np.ndarray:
-    """Gaussian kernel map from the rfft2 spectra of x and z.
+    """Gaussian kernel map of each row from the rfft2 spectra of x and z.
 
-    ``energy`` is ||x||^2 + ||z||^2; the circular cross-correlation takes a
-    single inverse transform.
+    ``energy`` is ||x||^2 + ||z||^2 per row; the circular cross-correlation
+    takes a single inverse transform.
     """
     cross = np.fft.irfft2(x_hat * np.conj(z_hat), s=shape)
-    d = (energy - 2.0 * cross) / cross.size
+    d = ((np.asarray(energy)[..., None, None] - 2.0 * cross)
+         / (shape[0] * shape[1]))
     return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
 
 
@@ -94,28 +124,38 @@ def gaussian_correlation(x: np.ndarray, z: np.ndarray,
     return _kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, x.shape, sigma_k)
 
 
+def in_frame(frame: np.ndarray, region) -> bool:
+    """Whether the center of ``region`` lies inside ``frame``."""
+    return 0 <= region[0] < frame.shape[1] and 0 <= region[1] < frame.shape[0]
+
+
 def _extract(frame: np.ndarray, region, size) -> np.ndarray:
     """The patch around ``region``; a center outside the frame ends the
     track with TrackLostError."""
-    cx, cy = region[0], region[1]
-    if (cx < 0 or cy < 0 or cx >= frame.shape[1] or cy >= frame.shape[0]):
-        raise TrackLostError(f"region center {(cx, cy)} left the frame")
-    patch = crop_eye(frame, EyeCenter(cx, cy), size).astype(np.float64)
+    if not in_frame(frame, region):
+        raise TrackLostError(f"region center {tuple(region[:2])} left the "
+                             f"frame")
+    patch = crop_eye(frame, EyeCenter(region[0], region[1]),
+                     size).astype(np.float64)
     return patch / 255.0
 
 
 def _preprocess(patch: np.ndarray, window: np.ndarray) -> np.ndarray:
     # unit variance keeps the kernel spectrum well above lambda, so the
     # self-response reproduces the target map almost exactly
-    centered = patch - patch.mean()
-    return centered / (centered.std() + 1e-12) * window
+    centered = patch - patch.mean(axis=(-2, -1), keepdims=True)
+    return (centered / (centered.std(axis=(-2, -1), keepdims=True) + 1e-12)
+            * window)
 
 
-def _transform(frame: np.ndarray, region, window: np.ndarray
-               ) -> tuple[np.ndarray, float]:
-    """rfft2 spectrum and energy of the preprocessed patch at ``region``."""
-    x = _preprocess(_extract(frame, region, window.shape), window)
-    return np.fft.rfft2(x), np.sum(x * x)
+def _transform(frames, regions, window: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """rfft2 spectrum and energy of the preprocessed patch of each frame at
+    its region, stacked."""
+    x = _preprocess(np.stack([_extract(frame, region, window.shape)
+                              for frame, region in zip(frames, regions)]),
+                    window)
+    return np.fft.rfft2(x), np.sum(x * x, axis=(-2, -1))
 
 
 def _target_response(size: tuple[int, int]) -> np.ndarray:
@@ -137,31 +177,78 @@ def _size_constants(size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return window, y_hat
 
 
-def _train(x_hat: np.ndarray, x_energy: float, y_hat: np.ndarray,
+def _train(x_hat: np.ndarray, x_energy: np.ndarray, y_hat: np.ndarray,
            shape: tuple[int, int]) -> np.ndarray:
-    """Dual coefficients of the ridge regression on patch x, rfft2 domain."""
+    """Dual coefficients of the ridge regression on each patch x, rfft2
+    domain."""
     k_xx = _kernel(x_hat, x_hat, 2.0 * x_energy, shape, SIGMA_K)
     return y_hat / (np.fft.rfft2(k_xx) + LAMBDA)
+
+
+def _learn(frames, regions, window: np.ndarray, y_hat: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Template and dual-coefficient spectra learned at each region."""
+    template_hat, energy = _transform(frames, regions, window)
+    return template_hat, _train(template_hat, energy, y_hat, window.shape)
+
+
+def _unwrap(idx, n: int):
+    return np.where(idx >= (n + 1) // 2, idx - n, idx)
+
+
+def _locate(template_hat: np.ndarray, alpha_hat: np.ndarray,
+            probe_hat: np.ndarray, probe_energy: np.ndarray,
+            shape: tuple[int, int]):
+    """Row, column shift and value of the peak of each row's response map
+    to its probe; circular shifts unwrap to [-N/2, N/2)."""
+    energy = probe_energy + _energy(template_hat, shape[1])
+    k_zx = _kernel(probe_hat, template_hat, energy, shape, SIGMA_K)
+    response = np.fft.irfft2(np.fft.rfft2(k_zx) * alpha_hat, s=shape)
+    flat = response.reshape(len(response), -1)
+    peak = flat.argmax(axis=1)
+    return (_unwrap(peak // shape[1], shape[0]),
+            _unwrap(peak % shape[1], shape[1]),
+            flat[np.arange(len(flat)), peak])
+
+
+def _blend(rate: float, template_hat: np.ndarray, alpha_hat: np.ndarray,
+           fresh_hat: np.ndarray, fresh_energy: np.ndarray,
+           y_hat: np.ndarray, shape: tuple[int, int]):
+    """Each row's model retrained on its fresh patch and blended in with
+    rate ``rate``. The blend runs on the spectra, which equals the spectrum
+    of the blended template."""
+    return ((1 - rate) * template_hat + rate * fresh_hat,
+            (1 - rate) * alpha_hat
+            + rate * _train(fresh_hat, fresh_energy, y_hat, shape))
+
+
+def track_size(frame: np.ndarray, region) -> tuple[int, int]:
+    """The patch size a track starting at ``region`` in ``frame`` keeps.
+    A padded side below 4 px raises RegionTooSmallError, and a center
+    outside the frame TrackLostError, its base."""
+    size = (int(round(region[2] * PADDING)), int(round(region[3] * PADDING)))
+    if min(size) < 4:
+        raise RegionTooSmallError(f"padded region {size[0]}x{size[1]} px is "
+                                  f"below 4 px a side")
+    if not in_frame(frame, region):
+        raise TrackLostError(f"region center {tuple(region[:2])} is outside "
+                             f"the frame")
+    return size
+
+
+# ---------------------------------------------------------------------------
+# one track
 
 
 def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
              params: KcfParams | None = None) -> KcfState:
     """Learn the correlation filter for the padded patch around ``region``.
     A padded side below 4 px raises RegionTooSmallError, a TrackLostError."""
-    size = (int(round(region[2] * PADDING)), int(round(region[3] * PADDING)))
-    if min(size) < 4:
-        raise RegionTooSmallError(f"padded region {size[0]}x{size[1]} px is "
-                                  f"below 4 px a side")
-    window, y_hat = _size_constants(size)
-    template_hat, energy = _transform(frame, region, window)
-    return KcfState(template_hat=template_hat,
-                    alpha_hat=_train(template_hat, energy, y_hat, size),
+    window, y_hat = _size_constants(track_size(frame, region))
+    template_hat, alpha_hat = _learn([frame], [region], window, y_hat)
+    return KcfState(template_hat=template_hat[0], alpha_hat=alpha_hat[0],
                     region=tuple(float(v) for v in region),
                     window=window, y_hat=y_hat, params=params or KcfParams())
-
-
-def _unwrap(idx: int, n: int) -> int:
-    return idx - n if idx >= (n + 1) // 2 else idx
 
 
 def kcf_update(state: KcfState,
@@ -169,41 +256,111 @@ def kcf_update(state: KcfState,
     """Locate the target in ``frame``; the filter is not retrained.
 
     The response map is evaluated at the previous region; the argmax
-    displacement (circular shifts unwrapped to [-N/2, N/2)) moves the region.
-    The new center may lie outside the frame: a caller that re-localizes
-    moves it back, and the next crop there (``kcf_adapt`` or the next
-    update) raises TrackLostError.
+    displacement moves the region. The new center may lie outside the
+    frame: a caller that re-localizes moves it back, and the next crop
+    there (``kcf_adapt`` or the next update) raises TrackLostError.
     """
     size = state.window.shape
-    probe_hat, probe_energy = _transform(frame, state.region, state.window)
-    energy = probe_energy + _energy(state.template_hat, size[1])
-    k_zx = _kernel(probe_hat, state.template_hat, energy, size, SIGMA_K)
-    response = np.fft.irfft2(np.fft.rfft2(k_zx) * state.alpha_hat, s=size)
-    peak = np.unravel_index(int(np.argmax(response)), response.shape)
-    dy = _unwrap(peak[0], size[0])
-    dx = _unwrap(peak[1], size[1])
+    probe = _transform([frame], [state.region], state.window)
+    dy, dx, score = _locate(state.template_hat[None], state.alpha_hat[None],
+                            *probe, size)
+    dy, dx = int(dy[0]), int(dx[0])
     cx, cy, h, w = state.region
     new_region = (cx + dx, cy + dy, h, w)
-    probe = None if dx or dy else (probe_hat, probe_energy)
-    return (replace(state, region=new_region, probe=probe),
-            TrackResult(region=new_region, score=float(response[peak])))
+    return (replace(state, region=new_region,
+                    probe=None if dx or dy else probe),
+            TrackResult(region=new_region, score=float(score[0])))
 
 
 def kcf_adapt(state: KcfState, frame: np.ndarray) -> KcfState:
     """Retrain the filter at the region ``kcf_update`` just found in
     ``frame`` and blend it in with rate ``interp`` (interp=0 keeps the
-    initial model unchanged). The blend runs on the spectra, which equals
-    the spectrum of the blended template."""
+    initial model unchanged)."""
     rate = state.params.interp
     if rate <= 0.0:
         return state
-    size = state.window.shape
-    if state.probe is None:
-        fresh_hat, fresh_energy = _transform(frame, state.region, state.window)
-    else:  # the region did not move: the probe is the training patch
-        fresh_hat, fresh_energy = state.probe
-    template_hat = (1 - rate) * state.template_hat + rate * fresh_hat
-    alpha_hat = ((1 - rate) * state.alpha_hat
-                 + rate * _train(fresh_hat, fresh_energy, state.y_hat, size))
-    return replace(state, template_hat=template_hat, alpha_hat=alpha_hat,
-                   probe=None)
+    # the region did not move: the probe is the training patch
+    fresh = state.probe or _transform([frame], [state.region], state.window)
+    template_hat, alpha_hat = _blend(rate, state.template_hat[None],
+                                     state.alpha_hat[None], *fresh,
+                                     state.y_hat, state.window.shape)
+    return replace(state, template_hat=template_hat[0],
+                   alpha_hat=alpha_hat[0])
+
+
+# ---------------------------------------------------------------------------
+# the tracks of one padded size, updated in lockstep
+
+
+def kcf_stack(size: tuple[int, int]) -> KcfStack:
+    """An empty stack for tracks of padded ``size``."""
+    window, y_hat = _size_constants(size)
+    empty = np.empty((0, *y_hat.shape), dtype=y_hat.dtype)
+    return KcfStack(window=window, y_hat=y_hat, template_hat=empty,
+                    alpha_hat=empty, regions=np.empty((0, 4)), keys=[])
+
+
+def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
+    """Learn one new row per key from its frame at its region, after the
+    rows already there. Each region has the stack's padded size and its
+    center inside its frame."""
+    template_hat, alpha_hat = _learn(frames, regions, stack.window,
+                                     stack.y_hat)
+    stack.template_hat = np.concatenate([stack.template_hat, template_hat])
+    stack.alpha_hat = np.concatenate([stack.alpha_hat, alpha_hat])
+    stack.regions = np.concatenate([stack.regions, np.array(regions)])
+    stack.keys = stack.keys + list(keys)
+
+
+def stack_learn(stack: KcfStack, rows, frames, regions) -> None:
+    """Learn ``rows`` afresh, in place, from ``frames`` (one per row of
+    ``rows``) at ``regions``, as ``stack_join`` learns a new row."""
+    stack.template_hat[rows], stack.alpha_hat[rows] = _learn(
+        frames, regions, stack.window, stack.y_hat)
+    stack.regions[rows] = regions
+
+
+def stack_keep(stack: KcfStack, keep) -> None:
+    """Drop every row whose ``keep`` entry is false."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.all():
+        return
+    stack.template_hat = stack.template_hat[keep]
+    stack.alpha_hat = stack.alpha_hat[keep]
+    stack.regions = stack.regions[keep]
+    stack.keys = [key for key, kept in zip(stack.keys, keep) if kept]
+
+
+def stack_locate(stack: KcfStack, frames) -> Located:
+    """Locate every row's target in its frame (one per row), as
+    ``kcf_update`` does; the stack is not changed."""
+    probe_hat, probe_energy = _transform(frames, stack.regions.tolist(),
+                                         stack.window)
+    dy, dx, scores = _locate(stack.template_hat, stack.alpha_hat, probe_hat,
+                             probe_energy, stack.window.shape)
+    regions = stack.regions.copy()
+    regions[:, 0] += dx
+    regions[:, 1] += dy
+    return Located(regions=regions, scores=scores, probe_hat=probe_hat,
+                   probe_energy=probe_energy, moved=(dx != 0) | (dy != 0))
+
+
+def stack_adapt(stack: KcfStack, rows: np.ndarray, frames,
+                located: Located) -> None:
+    """Move ``rows`` to the regions ``located`` found for them in
+    ``frames`` (one per row of the stack) and retrain them there, as
+    ``kcf_adapt`` does at the default rate ``INTERP``; a row whose region
+    did not move trains on its probe. Each region's center lies inside its
+    frame."""
+    regions = located.regions[rows]
+    stack.regions[rows] = regions
+    fresh_hat = located.probe_hat[rows]
+    fresh_energy = located.probe_energy[rows]
+    moved = np.flatnonzero(located.moved[rows])
+    if moved.size:
+        fresh_hat[moved], fresh_energy[moved] = _transform(
+            [frames[rows[i]] for i in moved], regions[moved].tolist(),
+            stack.window)
+    stack.template_hat[rows], stack.alpha_hat[rows] = _blend(
+        INTERP, stack.template_hat[rows], stack.alpha_hat[rows], fresh_hat,
+        fresh_energy, stack.y_hat, stack.window.shape)

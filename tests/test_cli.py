@@ -1,14 +1,16 @@
 import contextlib
+import csv
 import dataclasses
 import filecmp
 import io
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from blinkwild import cli, dataset, pipeline
+from blinkwild import cli, dataset, mslstm, pipeline
 from test_mslstm import CORRUPTIONS, corrupt
 
 
@@ -337,6 +339,21 @@ def test_bench_json(small_model, tmp_path):
     assert data["median_total_ms"] > 0
 
 
+def test_bench_reports_blas_threads(small_model, tmp_path, monkeypatch,
+                                    capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "bench.json"
+    assert run(["bench", "--model", small_model, "--frames", 10,
+                "--out", out]) == 0
+    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "unset",
+            "MKL_NUM_THREADS": "2"}
+    assert json.loads(out.read_text())["blas_threads"] == want
+    assert ("BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+            "MKL_NUM_THREADS=2") in capsys.readouterr().out.splitlines()
+
+
 def test_bench_times_the_pipeline_stages(small_model, tmp_path, monkeypatch):
     calls = {"track_eyes": 0, "_window_confidences": 0}
 
@@ -366,21 +383,63 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
                                       monkeypatch):
-    man = dataset.load_manifest(str(small_dataset / "manifest.tsv"))
-    entries = man.split("test")[:2]
-    manifest = tmp_path / "two.tsv"
-    dataset.write_manifest(str(manifest), entries)
+    """Each test clip goes into exactly one lockstep call, with at most
+    CLIP_BATCH clips a call."""
+    monkeypatch.setattr(cli, "CLIP_BATCH", 3)
+    manifest = small_dataset / "manifest.tsv"
+    entries = dataset.load_manifest(str(manifest)).split("test")
     calls = []
-    track_eyes = pipeline.track_eyes
+    track_clips = pipeline.track_clips
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return track_eyes(*args, **kwargs)
+    def counting(clips):
+        calls.append([frames for frames, _ in clips])
+        return track_clips(clips)
 
-    monkeypatch.setattr(pipeline, "track_eyes", counting)
+    monkeypatch.setattr(pipeline, "track_clips", counting)
     assert run(["verify", "--manifest", manifest, "--model", small_model,
                 "--out", tmp_path / "run"]) == 0
-    assert len(calls) == len(entries) == 2
+    assert [len(call) for call in calls] == [3, 1]
+    tracked = [frames for call in calls for frames in call]
+    for entry, frames in zip(entries, tracked, strict=True):
+        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
+        assert all(np.array_equal(a, b) for a, b in zip(clip.frames, frames,
+                                                        strict=True))
+
+
+def test_verify_in_groups_matches_verify_clip(small_model, tmp_path,
+                                              monkeypatch):
+    """Seven test clips of 10 and 13 frames, interleaved, in groups of
+    three: the rows come in manifest order, and each clip's verdicts match
+    ``verify_clip`` on that clip alone."""
+    monkeypatch.setattr(cli, "CLIP_BATCH", 3)
+    entries = []
+    for seed, length in ((5, 10), (6, 13)):
+        out = tmp_path / f"ds{length}"
+        assert run(["--seed", seed, "synth", "--out", out, "--length", length,
+                    "--train-blink", 0, "--train-nonblink", 0,
+                    "--test-blink", 2, "--test-nonblink", 2]) == 0
+        entries.append(dataset.load_manifest(str(out / "manifest.tsv"))
+                       .entries)
+    entries = [e for pair in zip(*entries) for e in pair][:7]
+    manifest = tmp_path / "mixed.tsv"
+    dataset.write_manifest(str(manifest), entries)
+    assert run(["verify", "--manifest", manifest, "--model", small_model,
+                "--out", tmp_path / "run"]) == 0
+    with open(tmp_path / "run" / "predictions.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(row["clip"], row["eye"]) for row in rows] == [
+        (entry.source_id, eye) for entry in entries for eye in pipeline.EYES]
+    model = mslstm.load_model(str(small_model))
+    for entry, pair in zip(entries, zip(rows[::2], rows[1::2])):
+        clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
+        want = pipeline.verify_clip(clip, pipeline.annotation_locator(clip),
+                                    model)
+        for row in pair:
+            verdict = want[row["eye"]]
+            assert row["label"] == verdict.label
+            assert row["lost"] == str(int(verdict.lost))
+            assert abs(float(row["confidence"])
+                       - verdict.confidence) <= 1e-12
 
 
 @pytest.mark.parametrize("rows, names", [

@@ -133,9 +133,8 @@ def test_track_lost_mid_stream_ends_track():
 def test_verify_mid_stream_loss_is_lost():
     frames, locate = leaving_frames()
     model = tiny_model(input_dim=118, hidden=4)
-    verdicts = pipeline.verify_streams(frames,
-                                       pipeline.track_eyes(frames, locate),
-                                       model)
+    verdicts, = pipeline.verify_streams(
+        [frames], [pipeline.track_eyes(frames, locate)], model)
     assert verdicts["left"] == pipeline.EyeVerdict("nonblink", 0.0, True)
     assert not verdicts["right"].lost
 
@@ -214,50 +213,64 @@ def test_track_matches_full_update_reference(kind, seed):
     assert any(s.reloc_indices for s in streams.values())
 
 
-def test_track_matches_reference_on_noise_frame():
+def noise_frame_clip():
     frames, locate = _clip_frames_and_locator("clip", 5)
     frames[5] = np.random.default_rng(0).integers(
         0, 256, size=frames[5].shape).astype(np.uint8)
-    streams = assert_tracks_match_reference(frames, locate)
+    return frames, locate
+
+
+def test_track_matches_reference_on_noise_frame():
+    streams = assert_tracks_match_reference(*noise_frame_clip())
     assert all(5 in s.reloc_indices for s in streams.values())
 
 
-def test_track_matches_reference_when_locator_fails():
+def failing_on_odd_frames():
     """Every odd frame the locator finds nothing, so low-score frames there
     keep (and retrain) the tracker's own state."""
     clip, _ = dataset.synth_stream(4, 40, blink_center=20)
     base = pipeline.annotation_locator(clip)
-    frames = list(clip.frames)
-    locate = lambda frame, i: None if i % 2 else base(frame, i)
-    streams = assert_tracks_match_reference(frames, locate)
+    return (list(clip.frames),
+            lambda frame, i: None if i % 2 else base(frame, i))
+
+
+def test_track_matches_reference_when_locator_fails():
+    streams = assert_tracks_match_reference(*failing_on_odd_frames())
     kept = [t for s in streams.values() for t in s.reloc_indices if t % 2]
     assert kept
 
 
 def test_track_retrains_only_kept_frames(monkeypatch):
+    """One stacked adapt per frame, of the rows that frame keeps."""
     frames, locate = _clip_frames_and_locator("clip", 1)
     adapted = []
-    adapt = tracker.kcf_adapt
-    monkeypatch.setattr(tracker, "kcf_adapt",
-                        lambda state, frame: adapted.append(1)
-                        or adapt(state, frame))
+    adapt = tracker.stack_adapt
+    monkeypatch.setattr(tracker, "stack_adapt",
+                        lambda stack, rows, *rest: adapted.append(len(rows))
+                        or adapt(stack, rows, *rest))
     streams = pipeline.track_eyes(frames, locate)
-    relocs = sum(len(s.reloc_indices) for s in streams.values())
-    assert relocs
-    assert len(adapted) == 2 * (len(frames) - 1) - relocs
+    relocs = [sum(t in s.reloc_indices for s in streams.values())
+              for t in range(1, len(frames))]
+    assert any(relocs)
+    assert adapted == [2 - r for r in relocs if r < 2]
 
 
-def test_track_matches_reference_when_shift_leaves_frame():
-    """Noise frames move the left track (x = 3) by a random peak, out of
-    the frame on some of them; the score is low, and the locator, which
-    always finds the eye, brings the track back before it is lost."""
+def shift_leaving_frame():
     rng = np.random.default_rng(1)
     frames = [smooth_image(rng)] + [
         rng.integers(0, 256, size=(96, 96)).astype(np.uint8)
         for _ in range(11)]
     eyes = record(dataset.EyeCenter(3.0, 48.0),
                   dataset.EyeCenter(43.0, 48.0), (0, 20, 96, 60))
-    locate = lambda frame, i: eyes
+    return frames, lambda frame, i: eyes
+
+
+def test_track_matches_reference_when_shift_leaves_frame():
+    """Noise frames move the left track (x = 3) by a random peak, out of
+    the frame on some of them; the score is low, and the locator, which
+    always finds the eye, brings the track back before it is lost."""
+    frames, locate = shift_leaving_frame()
+    eyes = locate(frames[0], 0)
     streams = assert_tracks_match_reference(frames, locate)
     left = streams["left"]
     assert left.lost_from is None
@@ -265,7 +278,7 @@ def test_track_matches_reference_when_shift_leaves_frame():
     assert left.boxes[1:] == [dataset.eye_box(eyes, "left")] * 11
 
 
-def test_track_matches_reference_eye_invisible_at_start():
+def left_invisible_at_start():
     clip = dataset.synth_clip(6, dataset.LABEL_BLINK, 10)
     base = pipeline.annotation_locator(clip)
 
@@ -274,9 +287,65 @@ def test_track_matches_reference_eye_invisible_at_start():
         return rec if i else replace(rec,
                                      left_eye=dataset.EyeCenter.invisible())
 
-    streams = assert_tracks_match_reference(list(clip.frames), late_left)
+    return list(clip.frames), late_left
+
+
+def test_track_matches_reference_eye_invisible_at_start():
+    streams = assert_tracks_match_reference(*left_invisible_at_start())
     assert streams["left"].lost_from == 0
     assert streams["right"].lost_from is None
+
+
+def resized_from_noise_frame():
+    """A noise frame at 4, from which the locator sees the left eye only,
+    in a face whose width gives it a 12 px box: the left track re-localizes
+    from 40 px patches to 30 px ones, the right keeps its own guess."""
+    frames, base = _clip_frames_and_locator("clip", 7)
+    frames[4] = np.random.default_rng(2).integers(
+        0, 256, size=frames[4].shape).astype(np.uint8)
+
+    def locate(frame, i):
+        rec = base(frame, i)
+        if i < 4:
+            return rec
+        return replace(rec, right_eye=dataset.EyeCenter.invisible(),
+                       face_box=(*rec.face_box[:2], 108.0, rec.face_box[3]))
+
+    return frames, locate
+
+
+def test_track_clips_matches_reference_per_clip_and_eye():
+    """One lockstep call over clips of 10 to 60 frames, with tracks of 18,
+    30 and 40 px patches, against each clip and eye tracked alone. Scores
+    may differ by float64 rounding of the stacked products."""
+    group = [_clip_frames_and_locator("stream", 0),
+             _clip_frames_and_locator("clip", 1),
+             leaving_frames(),           # 30 px; left lost at frame 7
+             left_invisible_at_start(),
+             failing_on_odd_frames(),
+             _clip_frames_and_locator("clip", 2),
+             noise_frame_clip(),
+             shift_leaving_frame(),
+             resized_from_noise_frame()]
+    tracks = pipeline.track_clips(group)
+    assert len(tracks) == len(group)
+    sizes = set()
+    for (frames, locate), streams in zip(group, tracks):
+        for eye, stream in streams.items():
+            want = reference_track_one_eye(frames, locate, eye)
+            assert stream.boxes == want.boxes
+            assert stream.reloc_indices == want.reloc_indices
+            assert stream.lost_from == want.lost_from
+            assert np.max(np.abs(np.subtract(stream.scores,
+                                             want.scores))) <= 1e-12
+            sizes.update(tracker.track_size(frame, box) for frame, box
+                         in zip(frames, stream.boxes) if box)
+    assert sizes == {(18, 18), (30, 30), (40, 40)}
+    assert tracks[2]["left"].lost_from == 7
+    assert tracks[3]["left"].lost_from == 0
+    resized = tracks[-1]["left"]
+    assert 4 in resized.reloc_indices
+    assert [b[2] for b in resized.boxes] == [16.0] * 4 + [12.0] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +377,11 @@ def test_verify_eyes_independent():
 
     both = pipeline.verify_clip(clip, base, model)
     solo = pipeline.verify_clip(clip, left_only, model)
-    assert solo["left"] == both["left"]
+    # both eyes are scored in one predict call, the left one alone in a
+    # call of one: the confidence may differ by batched-GEMM rounding
+    assert ((solo["left"].label, solo["left"].lost)
+            == (both["left"].label, both["left"].lost))
+    assert abs(solo["left"].confidence - both["left"].confidence) <= 1e-12
     assert solo["right"].lost
 
 

@@ -36,7 +36,8 @@ COVERS = {
                  "tests/test_acceptance.py"],
     "mslstm": ["tests/test_mslstm.py", "tests/test_pipeline.py",
                "tests/test_acceptance.py"],
-    "pipeline": ["tests/test_pipeline.py", "tests/test_acceptance.py"],
+    "pipeline": ["tests/test_pipeline.py", "tests/test_cli.py",
+                 "tests/test_acceptance.py"],
     "tracker": ["tests/test_tracker.py", "tests/test_pipeline.py",
                 "tests/test_acceptance.py"],
 }
@@ -44,7 +45,7 @@ COVERS = {
 # (name, module, line as in the source, mutated line, equivalence reason)
 MUTANTS = [
     ("energy Nyquist column", "tracker",
-     "        twice -= power[:, -1].sum()",
+     "        twice -= power[..., -1].sum(axis=-1)",
      "        twice -= 0.0", None),
     ("padded-size axes", "tracker",
      "    size = (int(round(region[2] * PADDING)), "
@@ -64,14 +65,14 @@ MUTANTS = [
      "        size = face_box[2] / 9.0",
      "        size = face_box[3] / 9.0", None),
     ("re-localized frame's score", "pipeline",
-     "                    stream.scores.append(score)",
-     "                    stream.scores.append(1.0)", None),
+     "                        new_size = start(key, t, fresh, score)",
+     "                        new_size = start(key, t, fresh, 1.0)", None),
     ("synth checks --length before it saves", "cli",
      "        dataset.check_synth(label, args.length)",
      "        pass", None),
     ("FR counts ME errors", "cli",
-     "                    tally[eye][1] += 1",
-     "                    pass", None),
+     "                        tally[eye][1] += 1",
+     "                        pass", None),
     ("ME needs both gt centers", "evaluation",
      "               if rec.left_eye.visible and rec.right_eye.visible)",
      "               if rec.left_eye.visible or rec.right_eye.visible)", None),
@@ -92,19 +93,28 @@ MUTANTS = [
      "                         for s, c in zip(starts, confs) "
      "if c > conf_thresh]", None),
     ("re-localization trigger inclusive", "pipeline",
-     "            if score < TRACK_THRESH:",
-     "            if score <= TRACK_THRESH:",
+     "            low = located.scores < TRACK_THRESH",
+     "            low = located.scores <= TRACK_THRESH",
      "the trigger differs only on a response peak equal to 0.25 to the "
      "last bit, which a continuous correlation score does not produce"),
     ("unwrap at exactly N/2", "tracker",
-     "    return idx - n if idx >= (n + 1) // 2 else idx",
-     "    return idx - n if idx > (n + 1) // 2 else idx",
+     "    return np.where(idx >= (n + 1) // 2, idx - n, idx)",
+     "    return np.where(idx > (n + 1) // 2, idx - n, idx)",
      "a lag of N/2 is the same circular shift either way, and it sits on "
      "the Hann window's zero edge where the response never peaks"),
-    ("kcf_adapt clears the probe", "tracker",
-     "                   probe=None)",
-     "                   probe=state.probe)",
-     "every kcf_update sets probe, and only kcf_adapt after it reads it"),
+    ("a re-localization re-learns only its own row", "pipeline",
+     "                if low[row]:",
+     "                if key[0] in records:", None),
+    ("a lost row leaves its stack", "pipeline",
+     "                    keep[row] = False",
+     "                    pass", None),
+    ("rows of different padded sizes never share a stack", "pipeline",
+     "                        if new_size == size:",
+     "                        if new_size:", None),
+    ("a group's verdicts come back in clip order", "pipeline",
+     "        for (i, eye, _), label, conf in zip(batch, labels.tolist(),",
+     "        for (i, eye, _), label, conf in zip(batch[::-1], "
+     "labels.tolist(),", None),
     ("predict shifts scores by their max", "mslstm",
      "    z = scores - scores.max(axis=1, keepdims=True)",
      "    z = scores",

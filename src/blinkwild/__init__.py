@@ -12,7 +12,6 @@ from .pipeline import (BlinkEvent, annotation_locator, detect_stream,
                        temporal_nms, track_eyes, verify_clip)
 from .evaluation import (ConfusionCounts, EvalReport, LocalizationTally,
                          average_precision, emit_report, fr, me, prf)
-from .tracker import (KcfParams, gaussian_correlation, kcf_adapt, kcf_init,
-                      kcf_update)
+from .tracker import gaussian_correlation, kcf_init, kcf_update
 
 __version__ = "0.1.0"

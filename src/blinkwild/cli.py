@@ -149,7 +149,8 @@ def cmd_train(args) -> int:
 def _score(args, manifest, predictions, fr_by_eye, path) -> None:
     """Check every row of the predictions CSV at ``predictions`` against
     ``manifest``, write the report at ``path`` and print one line per eye.
-    ``fr_by_eye`` holds the FR of the eyes it was measured for."""
+    ``fr_by_eye`` holds the FR of the eyes it was measured for; the others
+    report FR as unknown (None)."""
     truth = {entry.source_id: entry.label == dataset.LABEL_BLINK
              for entry in manifest.entries}
     outcomes = {eye: [] for eye in EYES}  # (confidence, is_blink, predicted)
@@ -200,7 +201,7 @@ def _score(args, manifest, predictions, fr_by_eye, path) -> None:
         recall, precision, f1 = evaluation.prf(evaluation.confusion(
             (is_blink, predicted) for _, is_blink, predicted in outcomes[eye]))
         per_eye[eye] = {"recall": recall, "precision": precision,
-                        "f1": f1, "fr": fr_by_eye.get(eye, 0.0)}
+                        "f1": f1, "fr": fr_by_eye.get(eye)}
     scores = [(conf, is_blink) for eye in EYES
               for conf, is_blink, _ in outcomes[eye]]
     report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
@@ -208,8 +209,9 @@ def _score(args, manifest, predictions, fr_by_eye, path) -> None:
                                    scores=scores)
     evaluation.emit_report(report, path)
     for eye in EYES:
-        print(f"{eye}: " + " ".join(f"{k}={v:.4f}"
-                                    for k, v in per_eye[eye].items()))
+        print(f"{eye}: " + " ".join(
+            f"{k}=n/a" if v is None else f"{k}={v:.4f}"
+            for k, v in per_eye[eye].items()))
 
 
 def cmd_verify(args) -> int:

@@ -17,7 +17,7 @@ from .dataset import manhattan
 from .errors import DegenerateGeometryError
 from .pipeline import BlinkEvent, temporal_iou
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 ME_THRESHOLD = 0.4  # localization counts as correct iff ME <= 0.4
 AP_OVERLAP = 0.5  # a detection matches a gt interval iff IoU >= 0.5
 
@@ -117,7 +117,7 @@ def average_precision(events: list[BlinkEvent],
 
 @dataclass
 class EvalReport:
-    per_eye: dict  # eye -> {"recall","precision","f1","fr"}
+    per_eye: dict  # eye -> {"recall","precision","f1","fr"}; fr None: unknown
     ap: float | None = None
     seed: int | None = None
     config_hash: str = ""
@@ -160,8 +160,9 @@ def emit_report(report: EvalReport, path: str) -> None:
         writer.writerow(["eye", "recall", "precision", "f1", "fr"])
         for eye in sorted(report.per_eye):
             vals = report.per_eye[eye]
-            writer.writerow([eye] + [repr(vals[k]) for k in
-                                     ("recall", "precision", "f1", "fr")])
+            writer.writerow([eye] + ["" if vals[k] is None else repr(vals[k])
+                                     for k in ("recall", "precision", "f1",
+                                               "fr")])
     with open(path + "_pr.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["threshold", "precision", "recall"])

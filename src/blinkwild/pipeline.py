@@ -70,12 +70,13 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
     one ``tracker.KcfStack``: one stacked locate, then one stacked adapt of
     the rows kept. The locator is asked at frame 0, and after that at most
     once per clip per frame, when one of the clip's eyes scores below
-    ``TRACK_THRESH``. A re-localized row is learned afresh in place, or
-    moves to the stack of its new padded size; if the locator finds no box
-    for the eye, the row keeps the tracker's best guess. A track that cannot
-    start, or whose kept or re-localized region cannot be cropped, ends
-    there, with no box from that frame on, and its row leaves the stack, as
-    does every row of a clip with no more frames.
+    ``TRACK_THRESH``. A re-localized row leaves its stack and is learned
+    afresh as a new row of the stack of its padded size, the same size or
+    a new one; if the locator finds no box for the eye, the row keeps the
+    tracker's best guess. A track that cannot start, or whose kept or
+    re-localized region cannot be cropped, ends there, with no box from
+    that frame on, and its row leaves the stack, as does every row of a
+    clip with no more frames.
     """
     if any(not frames for frames, _ in clips):
         raise ValueError("need at least one frame")
@@ -139,7 +140,7 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
         for size, (frames_t, located, low) in found.items():
             stack = stacks[size]
             keep = np.ones(len(stack.keys), dtype=bool)
-            relearn, kept = [], []
+            kept = []
             for row, (key, region, score) in enumerate(zip(
                     stack.keys, located.regions.tolist(),
                     located.scores.tolist())):
@@ -148,15 +149,10 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
                     stream.reloc_indices.append(t)
                     rec = records[key[0]]
                     fresh = eye_box(rec, key[1]) if rec else None
-                    if fresh is not None:
-                        new_size = start(key, t, fresh, score)
-                        if new_size == size:
-                            relearn.append((row, fresh))
-                        else:  # lost, or moves to the stack of its size
-                            keep[row] = False
-                            if new_size:
-                                joins.setdefault(new_size, []).append(
-                                    (key, fresh))
+                    if fresh is not None:  # learned afresh as a new row
+                        keep[row] = False
+                        if new_size := start(key, t, fresh, score):
+                            joins.setdefault(new_size, []).append((key, fresh))
                         continue
                     # locator failed: keep the tracker's best guess
                 if tracker.in_frame(frames_t[row], region):
@@ -166,10 +162,6 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
                 else:
                     end(key, t)
                     keep[row] = False
-            if relearn:
-                rows, regions = zip(*relearn)
-                tracker.stack_learn(stack, list(rows),
-                                    [frames_t[row] for row in rows], regions)
             if kept:
                 tracker.stack_adapt(stack, np.array(kept), frames_t, located)
             tracker.stack_keep(stack, keep)

@@ -15,8 +15,10 @@ read-only, by every track of that size.
 
 The kernels take a leading track axis. A ``KcfStack`` keeps every track of
 one padded size as one row of stacked arrays, so that one call locates, or
-retrains, all of them (``stack_locate``, ``stack_adapt``); ``kcf_init``,
-``kcf_update`` and ``kcf_adapt`` run the same kernels on a stack of one.
+retrains, all of them (``stack_locate``, ``stack_adapt``). A track learned
+afresh leaves its stack (``stack_keep``) and joins the stack of its padded
+size as a new row (``stack_join``). ``kcf_init`` and ``kcf_update`` are the
+same calls on a stack of one row.
 """
 
 from __future__ import annotations
@@ -38,19 +40,9 @@ INTERP = 0.02               # template/alpha learning rate
 
 @dataclass(frozen=True)
 class KcfParams:
+    """Accepted by ``kcf_init`` and never read: the learning rate is the
+    constant ``INTERP``."""
     interp: float = INTERP
-
-
-@dataclass
-class KcfState:
-    template_hat: np.ndarray       # rfft2 of the windowed, zero-mean template
-    alpha_hat: np.ndarray          # dual coefficients, rfft2 domain
-    region: tuple[float, float, float, float]  # cx, cy, h, w
-    window: np.ndarray = field(repr=False)     # Hann window, patch shape
-    y_hat: np.ndarray = field(repr=False)      # rfft2 of target response
-    params: KcfParams = field(default_factory=KcfParams)
-    # (spectrum, energy) of the last probe when the region did not move
-    probe: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -237,58 +229,6 @@ def track_size(frame: np.ndarray, region) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# one track
-
-
-def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
-             params: KcfParams | None = None) -> KcfState:
-    """Learn the correlation filter for the padded patch around ``region``.
-    A padded side below 4 px raises RegionTooSmallError, a TrackLostError."""
-    window, y_hat = _size_constants(track_size(frame, region))
-    template_hat, alpha_hat = _learn([frame], [region], window, y_hat)
-    return KcfState(template_hat=template_hat[0], alpha_hat=alpha_hat[0],
-                    region=tuple(float(v) for v in region),
-                    window=window, y_hat=y_hat, params=params or KcfParams())
-
-
-def kcf_update(state: KcfState,
-               frame: np.ndarray) -> tuple[KcfState, TrackResult]:
-    """Locate the target in ``frame``; the filter is not retrained.
-
-    The response map is evaluated at the previous region; the argmax
-    displacement moves the region. The new center may lie outside the
-    frame: a caller that re-localizes moves it back, and the next crop
-    there (``kcf_adapt`` or the next update) raises TrackLostError.
-    """
-    size = state.window.shape
-    probe = _transform([frame], [state.region], state.window)
-    dy, dx, score = _locate(state.template_hat[None], state.alpha_hat[None],
-                            *probe, size)
-    dy, dx = int(dy[0]), int(dx[0])
-    cx, cy, h, w = state.region
-    new_region = (cx + dx, cy + dy, h, w)
-    return (replace(state, region=new_region,
-                    probe=None if dx or dy else probe),
-            TrackResult(region=new_region, score=float(score[0])))
-
-
-def kcf_adapt(state: KcfState, frame: np.ndarray) -> KcfState:
-    """Retrain the filter at the region ``kcf_update`` just found in
-    ``frame`` and blend it in with rate ``interp`` (interp=0 keeps the
-    initial model unchanged)."""
-    rate = state.params.interp
-    if rate <= 0.0:
-        return state
-    # the region did not move: the probe is the training patch
-    fresh = state.probe or _transform([frame], [state.region], state.window)
-    template_hat, alpha_hat = _blend(rate, state.template_hat[None],
-                                     state.alpha_hat[None], *fresh,
-                                     state.y_hat, state.window.shape)
-    return replace(state, template_hat=template_hat[0],
-                   alpha_hat=alpha_hat[0])
-
-
-# ---------------------------------------------------------------------------
 # the tracks of one padded size, updated in lockstep
 
 
@@ -312,14 +252,6 @@ def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
     stack.keys = stack.keys + list(keys)
 
 
-def stack_learn(stack: KcfStack, rows, frames, regions) -> None:
-    """Learn ``rows`` afresh, in place, from ``frames`` (one per row of
-    ``rows``) at ``regions``, as ``stack_join`` learns a new row."""
-    stack.template_hat[rows], stack.alpha_hat[rows] = _learn(
-        frames, regions, stack.window, stack.y_hat)
-    stack.regions[rows] = regions
-
-
 def stack_keep(stack: KcfStack, keep) -> None:
     """Drop every row whose ``keep`` entry is false."""
     keep = np.asarray(keep, dtype=bool)
@@ -332,8 +264,11 @@ def stack_keep(stack: KcfStack, keep) -> None:
 
 
 def stack_locate(stack: KcfStack, frames) -> Located:
-    """Locate every row's target in its frame (one per row), as
-    ``kcf_update`` does; the stack is not changed."""
+    """Locate every row's target in its frame (one per row): the response
+    map is evaluated at the row's region and its argmax displacement moves
+    the region. The new center may lie outside the frame: a caller that
+    re-localizes moves it back, and the next crop there raises
+    TrackLostError. The stack is not changed."""
     probe_hat, probe_energy = _transform(frames, stack.regions.tolist(),
                                          stack.window)
     dy, dx, scores = _locate(stack.template_hat, stack.alpha_hat, probe_hat,
@@ -348,9 +283,9 @@ def stack_locate(stack: KcfStack, frames) -> Located:
 def stack_adapt(stack: KcfStack, rows: np.ndarray, frames,
                 located: Located) -> None:
     """Move ``rows`` to the regions ``located`` found for them in
-    ``frames`` (one per row of the stack) and retrain them there, as
-    ``kcf_adapt`` does at the default rate ``INTERP``; a row whose region
-    did not move trains on its probe. Each region's center lies inside its
+    ``frames`` (one per row of the stack), retrain them there and blend
+    the fresh model in with rate ``INTERP``; a row whose region did not
+    move trains on its probe. Each region's center lies inside its
     frame."""
     regions = located.regions[rows]
     stack.regions[rows] = regions
@@ -364,3 +299,28 @@ def stack_adapt(stack: KcfStack, rows: np.ndarray, frames,
     stack.template_hat[rows], stack.alpha_hat[rows] = _blend(
         INTERP, stack.template_hat[rows], stack.alpha_hat[rows], fresh_hat,
         fresh_energy, stack.y_hat, stack.window.shape)
+
+
+# ---------------------------------------------------------------------------
+# one track: a stack of one row
+
+
+def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
+             params: KcfParams | None = None) -> KcfStack:
+    """A one-row stack holding the filter learned for the padded patch
+    around ``region``. A padded side below 4 px raises RegionTooSmallError,
+    a TrackLostError. ``params`` is not read."""
+    stack = kcf_stack(track_size(frame, region))
+    stack_join(stack, [None], [frame], [region])
+    return stack
+
+
+def kcf_update(stack: KcfStack,
+               frame: np.ndarray) -> tuple[KcfStack, TrackResult]:
+    """Locate the one-row ``stack``'s target in ``frame`` (``stack_locate``)
+    and return a stack moved there, sharing the filter, which is not
+    retrained; ``stack`` itself is not changed."""
+    located = stack_locate(stack, [frame])
+    return (replace(stack, regions=located.regions),
+            TrackResult(region=tuple(located.regions[0].tolist()),
+                        score=float(located.scores[0])))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,17 @@ def test_dft_round_trip(rng):
 # init / update
 
 
-def full_update(state, frame):
-    """Locate, then retrain on every frame: the tracker's full update."""
-    state, result = tracker.kcf_update(state, frame)
-    return tracker.kcf_adapt(state, frame), result
+def full_update(stack, frame):
+    """Locate, then retrain on every frame: the tracker's full update, as
+    the stacked calls ``track_clips`` makes, on a copy of a one-row
+    stack."""
+    located = tracker.stack_locate(stack, [frame])
+    stack = replace(stack, template_hat=stack.template_hat.copy(),
+                    alpha_hat=stack.alpha_hat.copy(),
+                    regions=stack.regions.copy())
+    tracker.stack_adapt(stack, np.array([0]), [frame], located)
+    return stack, tracker.TrackResult(tuple(located.regions[0].tolist()),
+                                      float(located.scores[0]))
 
 
 def test_self_detection_score_near_one(rng):
@@ -126,16 +135,15 @@ def test_too_small_region_is_a_lost_track(rng):
 def test_center_outside_frame_is_lost(rng):
     frame = smooth_image(rng)
     state = tracker.kcf_init(frame, (48.0, 48.0, 16.0, 16.0))
-    state.region = (-50.0, -50.0, 16.0, 16.0)
+    state.regions[0] = (-50.0, -50.0, 16.0, 16.0)
     with pytest.raises(TrackLostError):
         tracker.kcf_update(state, frame)
 
 
 def test_integer_shift_recovery_50_frames(rng):
     base = smooth_image(rng, (128, 128))
-    params = tracker.KcfParams(interp=0.0)
     cx, cy = 64.0, 64.0
-    state = tracker.kcf_init(base, (cx, cy, 28.0, 28.0), params)
+    state = tracker.kcf_init(base, (cx, cy, 28.0, 28.0))
     total = np.array([0, 0])
     for step in range(50):
         dx, dy = rng.integers(-6, 7, size=2)
@@ -183,7 +191,7 @@ def reference_correlation(x, z, sigma_k):
     return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
 
 
-def reference_init(frame, region, params):
+def reference_init(frame, region):
     """KCF that keeps a spatial template and complex-FFT alpha_hat."""
     size = (round(region[2] * tracker.PADDING),
             round(region[3] * tracker.PADDING))
@@ -194,11 +202,11 @@ def reference_init(frame, region, params):
     k_xx = reference_correlation(template, template, tracker.SIGMA_K)
     alpha_hat = y_hat / (np.fft.fft2(k_xx) + tracker.LAMBDA)
     return dict(template=template, alpha_hat=alpha_hat, region=region,
-                window=window, y_hat=y_hat, params=params)
+                window=window, y_hat=y_hat)
 
 
 def reference_update(state, frame):
-    p = state["params"]
+    rate = tracker.INTERP
     size = state["template"].shape
     probe = tracker._preprocess(
         tracker._extract(frame, state["region"], size), state["window"])
@@ -212,26 +220,22 @@ def reference_update(state, frame):
     cx, cy, h, w = state["region"]
     region = (cx + dx, cy + dy, h, w)
     state = dict(state, region=region)
-    if p.interp > 0.0:
-        fresh = tracker._preprocess(tracker._extract(frame, region, size),
-                                    state["window"])
-        k_xx = reference_correlation(fresh, fresh, tracker.SIGMA_K)
-        alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + tracker.LAMBDA)
-        state["template"] = ((1 - p.interp) * state["template"]
-                             + p.interp * fresh)
-        state["alpha_hat"] = ((1 - p.interp) * state["alpha_hat"]
-                              + p.interp * alpha_fresh)
+    fresh = tracker._preprocess(tracker._extract(frame, region, size),
+                                state["window"])
+    k_xx = reference_correlation(fresh, fresh, tracker.SIGMA_K)
+    alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + tracker.LAMBDA)
+    state["template"] = (1 - rate) * state["template"] + rate * fresh
+    state["alpha_hat"] = (1 - rate) * state["alpha_hat"] + rate * alpha_fresh
     return state, region, float(response[peak])
 
 
 def test_spectral_model_matches_spatial_reference(rng):
     base = smooth_image(rng, (128, 128))
-    params = tracker.KcfParams()
-    assert params.interp > 0.0
+    assert tracker.INTERP > 0.0
     thresh = 0.25
     for region in [(64.0, 64.0, 20.0, 20.0), (60.0, 70.0, 15.0, 17.0)]:
-        fast = tracker.kcf_init(base, region, params)
-        ref = reference_init(base, region, params)
+        fast = tracker.kcf_init(base, region)
+        ref = reference_init(base, region)
         total = np.array([0, 0])
         fast_relocs, ref_relocs = [], []
         for t in range(40):
@@ -251,23 +255,23 @@ def test_spectral_model_matches_spatial_reference(rng):
                 # re-localize both at the true target position
                 fresh = (region[0] + total[1], region[1] + total[0],
                          region[2], region[3])
-                fast = tracker.kcf_init(frame, fresh, params)
-                ref = reference_init(frame, fresh, params)
+                fast = tracker.kcf_init(frame, fresh)
+                ref = reference_init(frame, fresh)
         assert fast_relocs == ref_relocs
         assert ref_relocs, "noise frames must trigger re-localization"
         n = ref["template"].size
-        assert np.max(np.abs(fast.template_hat
+        assert np.max(np.abs(fast.template_hat[0]
                              - np.fft.rfft2(ref["template"]))) < 1e-9 * n
 
 
-def test_adapt_matches_spatial_reference(rng):
+def test_adapt_matches_spatial_reference(rng, monkeypatch):
     """Changing content with no re-localization, so every retrain counts;
     the region both stays (the probe is reused) and moves."""
+    monkeypatch.setattr(tracker, "INTERP", 0.2)
     base = smooth_image(rng, (128, 128))
-    params = tracker.KcfParams(interp=0.2)
     region = (64.0, 64.0, 20.0, 20.0)
-    fast = tracker.kcf_init(base, region, params)
-    ref = reference_init(base, region, params)
+    fast = tracker.kcf_init(base, region)
+    ref = reference_init(base, region)
     total = np.array([0, 0])
     moved = stayed = 0
     for t in range(30):
@@ -275,7 +279,7 @@ def test_adapt_matches_spatial_reference(rng):
             total = np.clip(total + rng.integers(-3, 4, size=2), -20, 20)
         frame = np.clip(np.roll(base, tuple(total), axis=(0, 1))
                         + rng.normal(0, 12, base.shape), 0, 255)
-        before = fast.region
+        before = tuple(fast.regions[0].tolist())
         fast, result = full_update(fast, frame)
         ref, ref_region, ref_score = reference_update(ref, frame)
         assert result.region == ref_region
@@ -284,44 +288,45 @@ def test_adapt_matches_spatial_reference(rng):
         stayed += result.region == before
     assert moved and stayed
     n = ref["template"].size
-    assert np.max(np.abs(fast.template_hat
+    assert np.max(np.abs(fast.template_hat[0]
                          - np.fft.rfft2(ref["template"]))) < 1e-9 * n
-    alpha_ref = ref["alpha_hat"][:, :fast.alpha_hat.shape[1]]
-    assert np.max(np.abs(fast.alpha_hat - alpha_ref)) < 1e-6 * np.max(
+    alpha_ref = ref["alpha_hat"][:, :fast.alpha_hat.shape[2]]
+    assert np.max(np.abs(fast.alpha_hat[0] - alpha_ref)) < 1e-6 * np.max(
         np.abs(alpha_ref))
 
 
 def test_update_locates_without_retraining(rng):
     base = smooth_image(rng)
     state = tracker.kcf_init(base, (48.0, 48.0, 20.0, 20.0))
+    regions, alpha_hat = state.regions.copy(), state.alpha_hat.copy()
     frame = np.roll(base, (2, -3), axis=(0, 1))
     located, result = tracker.kcf_update(state, frame)
-    assert result.region == (45.0, 50.0, 20.0, 20.0) == located.region
+    assert result.region == (45.0, 50.0, 20.0, 20.0)
+    assert located.regions.tolist() == [list(result.region)]
+    # the input stack is not moved, and the filter is shared, not retrained
+    assert np.array_equal(state.regions, regions)
     assert located.template_hat is state.template_hat
     assert located.alpha_hat is state.alpha_hat
-    adapted = tracker.kcf_adapt(located, frame)
-    assert adapted.region == located.region
+    assert np.array_equal(state.alpha_hat, alpha_hat)
+    adapted, _ = full_update(state, frame)
+    assert adapted.regions.tolist() == located.regions.tolist()
     assert not np.array_equal(adapted.alpha_hat, state.alpha_hat)
 
 
 def test_moved_center_outside_frame_is_lost_at_next_crop(rng):
     """The update reports a center that left the frame, so a caller can
-    re-localize; the next crop there, the retrain or (at interp = 0) the
-    next update, ends the track."""
+    re-localize; the next crop there, the retrain or the next update, ends
+    the track."""
     base = smooth_image(rng)
     frame = np.roll(base, -4, axis=1)
-    for interp in (0.02, 0.0):
-        state = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0),
-                                 tracker.KcfParams(interp=interp))
-        state, result = tracker.kcf_update(state, frame)
-        assert result.region == state.region == (-2.0, 48.0, 16.0, 16.0)
-        if interp:
-            with pytest.raises(TrackLostError):
-                tracker.kcf_adapt(state, frame)
-        else:
-            assert tracker.kcf_adapt(state, frame) is state
-            with pytest.raises(TrackLostError):
-                tracker.kcf_update(state, frame)
+    state = tracker.kcf_init(base, (2.0, 48.0, 16.0, 16.0))
+    moved, result = tracker.kcf_update(state, frame)
+    assert result.region == (-2.0, 48.0, 16.0, 16.0)
+    assert moved.regions.tolist() == [list(result.region)]
+    with pytest.raises(TrackLostError):
+        full_update(state, frame)
+    with pytest.raises(TrackLostError):
+        tracker.kcf_update(moved, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,9 @@ MUTANTS = [
      "        size = face_box[2] / 9.0",
      "        size = face_box[3] / 9.0", None),
     ("re-localized frame's score", "pipeline",
-     "                        new_size = start(key, t, fresh, score)",
-     "                        new_size = start(key, t, fresh, 1.0)", None),
+     "                        if new_size := start(key, t, fresh, score):",
+     "                        if new_size := start(key, t, fresh, 1.0):",
+     None),
     ("synth checks --length before it saves", "cli",
      "        dataset.check_synth(label, args.length)",
      "        pass", None),
@@ -108,9 +109,15 @@ MUTANTS = [
     ("a lost row leaves its stack", "pipeline",
      "                    keep[row] = False",
      "                    pass", None),
-    ("rows of different padded sizes never share a stack", "pipeline",
-     "                        if new_size == size:",
-     "                        if new_size:", None),
+    ("a re-localized row joins the stack of its new padded size",
+     "pipeline",
+     "                            joins.setdefault(new_size, []).append("
+     "(key, fresh))",
+     "                            joins.setdefault(size, []).append("
+     "(key, fresh))", None),
+    ("kcf_update moves its stack to the located region", "tracker",
+     "    return (replace(stack, regions=located.regions),",
+     "    return (replace(stack, regions=stack.regions),", None),
     ("a group's verdicts come back in clip order", "pipeline",
      "        for (i, eye, _), label, conf in zip(batch, labels.tolist(),",
      "        for (i, eye, _), label, conf in zip(batch[::-1], "

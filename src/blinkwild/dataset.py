@@ -411,20 +411,53 @@ def _soft_mask(d: np.ndarray, sharpness: float = 6.0) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * sharpness * (1.0 - d)))
 
 
-def _render_frame(layout: SynthLayout, centers: tuple, aperture: float,
-                  brightness: float, rng: np.random.Generator) -> np.ndarray:
-    h, w = layout.frame_h, layout.frame_w
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    img = np.full((h, w), 128.0 + brightness)
+EYE_REACH = 3.0  # semi-axes; the sclera mask is exactly 0.0 from 2.72 on
+
+
+def _reach(center: float, semi_axis: float, n: int) -> tuple[int, int]:
+    """Pixel indices [lo, hi) strictly within EYE_REACH semi-axes of
+    ``center``, clipped to [0, n)."""
+    lo = math.floor(center - EYE_REACH * semi_axis) + 1
+    hi = math.ceil(center + EYE_REACH * semi_axis)
+    return min(max(lo, 0), n), min(max(hi, 0), n)
+
+
+def _clean_frame(layout: SynthLayout, centers: tuple, aperture: float,
+                 brightness: float) -> np.ndarray:
+    """The noise-free float64 frame that `_render_frame` draws."""
+    img = np.full((layout.frame_h, layout.frame_w), 128.0 + brightness)
+    ry = max(layout.eye_ry * aperture, 1e-6)
     for ex, ey in centers:
-        ry = max(layout.eye_ry * aperture, 1e-6)
+        y0, y1 = _reach(ey, ry, layout.frame_h)
+        x0, x1 = _reach(ex, layout.eye_rx, layout.frame_w)
+        yy = np.arange(y0, y1, dtype=np.float64)[:, None]
+        xx = np.arange(x0, x1, dtype=np.float64)
+        box = img[y0:y1, x0:x1]
         d = ((xx - ex) / layout.eye_rx) ** 2 + ((yy - ey) / ry) ** 2
         sclera = _soft_mask(d)
-        img = img * (1 - sclera) + (210.0 + brightness) * sclera
+        box = box * (1 - sclera) + (210.0 + brightness) * sclera
         if aperture > 0.35:  # pupil hidden once the lid is mostly down
             dp = ((xx - ex) ** 2 + (yy - ey) ** 2) / layout.pupil_r ** 2
             pupil = _soft_mask(dp) * sclera
-            img = img * (1 - pupil) + (40.0 + brightness) * pupil
+            box = box * (1 - pupil) + (40.0 + brightness) * pupil
+        img[y0:y1, x0:x1] = box
+    return img
+
+
+def _render_frame(layout: SynthLayout, centers: tuple, aperture: float,
+                  brightness: float, rng: np.random.Generator) -> np.ndarray:
+    """One uint8 frame: both eyes on a flat face, plus one full-frame
+    normal noise draw.
+
+    Each eye is drawn only over the pixels strictly within ``EYE_REACH``
+    semi-axes of its center (``3·eye_rx`` by ``3·ry``), clipped to the
+    frame. This gives the same bytes as drawing it over the whole frame.
+    Outside that box the normalized distance d is at least 9, and float64
+    ``tanh(3·(1 − d))`` is exactly −1.0 once d ≥ 7.37, so the sclera mask
+    there is exactly 0.0 and so is the pupil mask it multiplies. A pixel
+    blended with a zero mask, ``img·(1 − 0) + c·0``, keeps its value.
+    """
+    img = _clean_frame(layout, centers, aperture, brightness)
     img += rng.normal(0.0, layout.noise_sigma, size=img.shape)
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from blinkwild import dataset
+from blinkwild import cli, dataset
 from blinkwild.errors import (AnnotationError, BlinkwildError,
                               FrameFormatError, ManifestError,
                               MissingAssetError, NoVisibleEyeError,
@@ -298,6 +298,97 @@ def test_synth_annotations_are_loadable(tmp_path):
     assert all(np.array_equal(x, y)
                for x, y in zip(back.frames, clip.frames))
     assert back.annotations == clip.annotations
+
+
+def reference_clean_frame(layout, centers, aperture, brightness):
+    """The noise-free frame with each eye's masks over every pixel."""
+    h, w = layout.frame_h, layout.frame_w
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    img = np.full((h, w), 128.0 + brightness)
+    for ex, ey in centers:
+        ry = max(layout.eye_ry * aperture, 1e-6)
+        d = ((xx - ex) / layout.eye_rx) ** 2 + ((yy - ey) / ry) ** 2
+        sclera = dataset._soft_mask(d)
+        img = img * (1 - sclera) + (210.0 + brightness) * sclera
+        if aperture > 0.35:
+            dp = ((xx - ex) ** 2 + (yy - ey) ** 2) / layout.pupil_r ** 2
+            pupil = dataset._soft_mask(dp) * sclera
+            img = img * (1 - pupil) + (40.0 + brightness) * pupil
+    return img
+
+
+def reference_render_frame(layout, centers, aperture, brightness, rng):
+    img = reference_clean_frame(layout, centers, aperture, brightness)
+    img += rng.normal(0.0, layout.noise_sigma, size=img.shape)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def test_soft_mask_is_exactly_zero_from_nine():
+    # long enough for numpy's SIMD tanh loop, not only its scalar tail
+    d = np.concatenate([np.full(1024, 9.0), np.geomspace(9.0, 1e13, 1024)])
+    assert np.all(dataset._soft_mask(d) == 0.0)
+
+
+def test_clean_frame_matches_full_frame_reference(monkeypatch):
+    # float64 images: a reach cut too short changes a pixel by as little as
+    # 1e-8, which rounding to uint8 almost never shows
+    calls = []
+    render = dataset._render_frame
+
+    def recorded(layout, centers, aperture, brightness, rng):
+        calls.append((layout, centers, aperture, brightness))
+        return render(layout, centers, aperture, brightness, rng)
+
+    monkeypatch.setattr(dataset, "_render_frame", recorded)
+    for seed in range(24):
+        for label in (dataset.LABEL_BLINK, dataset.LABEL_NONBLINK):
+            dataset.synth_clip(seed, label)
+    assert min(call[2] for call in calls) < 0.05
+    for call in calls:
+        assert np.array_equal(dataset._clean_frame(*call),
+                              reference_clean_frame(*call))
+
+
+@pytest.mark.parametrize("layout,centers,aperture", [
+    (dataset.SynthLayout(), ((36.0, 56.0), (76.3, 55.5)), 0.0),
+    (dataset.SynthLayout(), ((36.0, 56.0), (76.3, 55.5)), 1e-7),
+    (dataset.SynthLayout(frame_h=14, frame_w=18),
+     ((2.5, 3.0), (15.7, 11.2)), 1.0),
+    (dataset.SynthLayout(frame_h=14, frame_w=18),
+     ((9.0, 7.0), (8.6, 6.4)), 0.5),
+    (dataset.SynthLayout(), ((-5.0, 40.0), (118.5, -3.2)), 0.9),
+    (dataset.SynthLayout(), ((-60.0, 56.0), (56.0, 200.0)), 1.0),
+])
+def test_clean_frame_matches_reference_at_the_edges(layout, centers,
+                                                     aperture):
+    for brightness in (-10.0, 7.25):
+        assert np.array_equal(
+            dataset._clean_frame(layout, centers, aperture, brightness),
+            reference_clean_frame(layout, centers, aperture, brightness))
+
+
+def _files(root):
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def test_synth_command_writes_the_reference_bytes(tmp_path, monkeypatch):
+    argv = ["--seed", "5", "synth", "--train-blink", "2",
+            "--train-nonblink", "2", "--test-blink", "1",
+            "--test-nonblink", "1", "--out"]
+    assert cli.main(argv + [str(tmp_path / "fast")]) == 0
+    monkeypatch.setattr(dataset, "_render_frame", reference_render_frame)
+    assert cli.main(argv + [str(tmp_path / "reference")]) == 0
+    fast, reference = (_files(tmp_path / name)
+                       for name in ("fast", "reference"))
+    assert "manifest.tsv" in fast
+    assert sum(name.endswith(".pgm") for name in fast) == 60
+    assert fast == reference
 
 
 def test_synth_stream_gt_interval():

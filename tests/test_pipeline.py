@@ -9,6 +9,41 @@ from conftest import tiny_model
 from test_tracker import full_update, smooth_image
 
 
+@pytest.fixture(autouse=True)
+def one_row_per_key(monkeypatch):
+    """Every ``track_clips`` call here fails at once when a key joins a
+    stack while it still has a row in a live stack of the same call. A
+    stale row would otherwise only double its stack on each
+    re-localization, and slow the suite down without failing it."""
+    live = None  # the stacks of the running call; its keys repeat per call
+    kcf_stack, stack_join = tracker.kcf_stack, tracker.stack_join
+    track_clips = pipeline.track_clips
+
+    def tracked(clips):
+        nonlocal live
+        live = []
+        try:
+            return track_clips(clips)
+        finally:
+            live = None
+
+    def made(size):
+        stack = kcf_stack(size)
+        if live is not None:
+            live.append(stack)
+        return stack
+
+    def joined(stack, keys, frames, regions):
+        if live is not None:
+            stale = {key for s in live for key in s.keys} & set(keys)
+            assert not stale, f"{sorted(stale)} join with a row left"
+        stack_join(stack, keys, frames, regions)
+
+    monkeypatch.setattr(pipeline, "track_clips", tracked)
+    monkeypatch.setattr(tracker, "kcf_stack", made)
+    monkeypatch.setattr(tracker, "stack_join", joined)
+
+
 def reference_nms(proposals, iou_thresh):
     """Quadratic keep/suppress oracle, written against the stated rule."""
     order = sorted(proposals,

@@ -64,6 +64,17 @@ MUTANTS = [
     ("one-eye face-width rule", "dataset",
      "        size = face_box[2] / 9.0",
      "        size = face_box[3] / 9.0", None),
+    ("synth draws an eye out to three semi-axes", "dataset",
+     "EYE_REACH = 3.0  # semi-axes; the sclera mask is exactly 0.0 from "
+     "2.72 on",
+     "EYE_REACH = 2.0  # semi-axes; the sclera mask is exactly 0.0 from "
+     "2.72 on", None),
+    ("an eye box's far edge", "dataset",
+     "    hi = math.ceil(center + EYE_REACH * semi_axis)",
+     "    hi = math.ceil(center + EYE_REACH * semi_axis) - 1", None),
+    ("an eye box is clipped to the frame", "dataset",
+     "    return min(max(lo, 0), n), min(max(hi, 0), n)",
+     "    return lo, hi", None),
     ("re-localized frame's score", "pipeline",
      "                        if new_size := start(key, t, fresh, score):",
      "                        if new_size := start(key, t, fresh, 1.0):",
@@ -109,6 +120,9 @@ MUTANTS = [
     ("a lost row leaves its stack", "pipeline",
      "                    keep[row] = False",
      "                    pass", None),
+    ("a re-localized row leaves its stack", "pipeline",
+     "                        keep[row] = False",
+     "                        pass", None),
     ("a re-localized row joins the stack of its new padded size",
      "pipeline",
      "                            joins.setdefault(new_size, []).append("

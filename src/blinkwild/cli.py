@@ -290,12 +290,11 @@ def cmd_bench(args) -> int:
         streams = pipeline.track_eyes(clip.frames,
                                       pipeline.annotation_locator(clip))
         t1 = time.perf_counter()
-        steps = [features.featurize_frames(clip.frames[:s.lost_from],
-                                           s.boxes[:s.lost_from])
-                 for s in streams.values()]
+        # at detect's default window and stride
+        steps = pipeline.tracked_steps(clip.frames, streams, 10)
         t2 = time.perf_counter()
-        for seq in steps:  # at detect's default window and stride
-            pipeline._window_confidences(model, seq, 10, 1)
+        for seq in steps.values():
+            pipeline.score_windows(model, [seq], 10)
         t3 = time.perf_counter()
         if i:
             for stage, secs in zip(per_frame, (t1 - t0, t2 - t1, t3 - t2)):
@@ -304,17 +303,13 @@ def cmd_bench(args) -> int:
             if frames_timed >= args.frames:
                 break
 
-    def stats(xs):
-        xs = sorted(xs)
-        return {"mean": statistics.fmean(xs), "median": xs[len(xs) // 2],
-                "p95": xs[int(0.95 * (len(xs) - 1))]}
-
-    table = {stage: stats(xs) for stage, xs in per_frame.items()}
+    table = {stage: {"mean": statistics.fmean(xs),
+                     "median": sorted(xs)[len(xs) // 2]}
+             for stage, xs in per_frame.items()}
     total_median = sum(v["median"] for v in table.values())
     threads = {var: os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}
     for stage, v in table.items():
-        print(f"{stage:10s} mean={v['mean']:.3f}ms median={v['median']:.3f}ms "
-              f"p95={v['p95']:.3f}ms")
+        print(f"{stage:10s} mean={v['mean']:.3f}ms median={v['median']:.3f}ms")
     print(f"per-frame median total: {total_median:.3f}ms")
     print("BLAS threads: " + " ".join(f"{var}={value}"
                                       for var, value in threads.items()))

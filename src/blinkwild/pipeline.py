@@ -23,7 +23,7 @@ from .errors import TrackLostError
 
 EYES = ("left", "right")
 TRACK_THRESH = 0.25  # re-localization trigger on the KCF score
-# windows per predict call in detect_stream. A batch's window copies and
+# windows per predict call in score_windows. A batch's window copies and
 # per-layer outputs grow with its size: on a 3000-frame stream one batch per
 # eye raised detect's peak RSS by 99 MB, chunks of 256 by 14 MB.
 WINDOW_BATCH = 256
@@ -193,27 +193,21 @@ def verify_streams(clip_frames, streams: list[dict[str, TrackedStream]],
     """Per-eye blink verdicts of many clips, in clip order, from each
     clip's frames and the streams ``track_clips`` returned for it.
 
-    Every kept track's sequence is scored with the others of its length in
-    one ``predict`` call. A track lost anywhere in the clip yields
-    (nonblink, 0.0, lost) so it can be counted as a false negative for
-    blink-labelled clips.
+    A clip is one window: ``tracked_steps`` keeps the tracks that hold all
+    of its frames, and ``score_windows`` scores them together. A track
+    lost anywhere in the clip yields (nonblink, 0.0, lost) so it can be
+    counted as a false negative for blink-labelled clips.
     """
-    verdicts = [dict.fromkeys(tracks) for tracks in streams]
-    pending = {}  # sequence length -> [(clip index, eye, sequence)]
+    verdicts, keys, seqs = [], [], []
     for i, (frames, tracks) in enumerate(zip(clip_frames, streams)):
-        for eye, stream in tracks.items():
-            if stream.lost_from is not None:
-                verdicts[i][eye] = EyeVerdict("nonblink", 0.0, True)
-                continue
-            seq = features.featurize_frames(frames, stream.boxes)
-            pending.setdefault(len(seq), []).append((i, eye, seq))
-    for batch in pending.values():
-        labels, confs = mslstm.predict(
-            model, np.stack([seq for _, _, seq in batch]))
-        for (i, eye, _), label, conf in zip(batch, labels.tolist(),
-                                            confs.tolist()):
-            name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
-            verdicts[i][eye] = EyeVerdict(name, conf, False)
+        verdicts.append(dict.fromkeys(tracks,
+                                      EyeVerdict("nonblink", 0.0, True)))
+        for eye, seq in tracked_steps(frames, tracks, len(frames)).items():
+            keys.append((i, eye))
+            seqs.append(seq)
+    for (i, eye), [(_, label, conf)] in zip(keys, score_windows(model, seqs)):
+        name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
+        verdicts[i][eye] = EyeVerdict(name, conf, False)
     return verdicts
 
 
@@ -246,20 +240,42 @@ def temporal_nms(proposals: list[BlinkEvent],
     return kept
 
 
-def _window_confidences(model: mslstm.MsLstmModel, steps: np.ndarray,
-                        window: int, stride: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Start frame and blink confidence of every ``window``-frame window
-    over one track's feature steps, ``WINDOW_BATCH`` windows per
-    ``predict`` call. Window s reads steps s .. s+window-2."""
-    starts = np.arange(0, len(steps) - window + 2, stride)
-    offsets = np.arange(window - 1)
-    confs = np.empty(starts.size)
-    for lo in range(0, starts.size, WINDOW_BATCH):
-        chunk = starts[lo:lo + WINDOW_BATCH]
-        _, confs[lo:lo + chunk.size] = mslstm.predict(
-            model, steps[chunk[:, None] + offsets])
-    return starts, confs
+def tracked_steps(frames, tracks: dict[str, TrackedStream],
+                  window: int) -> dict[str, np.ndarray]:
+    """Feature steps of each eye whose track holds a whole ``window``-frame
+    window inside ``[0, lost_from)``, over those tracked frames. Eyes whose
+    track is lost sooner are left out."""
+    steps = {}
+    for eye, stream in tracks.items():
+        tracked = len(frames) if stream.lost_from is None else stream.lost_from
+        if tracked >= window:
+            steps[eye] = features.featurize_frames(frames[:tracked],
+                                                   stream.boxes[:tracked])
+    return steps
+
+
+def score_windows(model: mslstm.MsLstmModel, seqs, window: int | None = None,
+                  stride: int = 1) -> list[list[tuple[int, int, float]]]:
+    """``(start, label, confidence)`` of every window of every step
+    sequence, one list per sequence, in input order. ``window=None`` is one
+    window spanning the whole sequence; otherwise window s reads steps
+    s .. s+window-2, every ``stride``-th s. Windows with the same step count
+    are scored together, in order, ``WINDOW_BATCH`` per ``predict`` call."""
+    groups = {}  # step count -> [(sequence index, start)]
+    for i, seq in enumerate(seqs):
+        n = len(seq) if window is None else window - 1
+        groups.setdefault(n, []).extend(
+            (i, s) for s in range(0, len(seq) - n + 1, stride))
+    out = [[] for _ in seqs]
+    for n, windows in groups.items():
+        for lo in range(0, len(windows), WINDOW_BATCH):
+            chunk = windows[lo:lo + WINDOW_BATCH]
+            labels, confs = mslstm.predict(
+                model, np.stack([seqs[i][s:s + n] for i, s in chunk]))
+            for (i, s), label, conf in zip(chunk, labels.tolist(),
+                                           confs.tolist()):
+                out[i].append((s, label, conf))
+    return out
 
 
 def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
@@ -268,14 +284,13 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
                   iou_thresh: float = 0.33) -> list[BlinkEvent]:
     """Sliding-window blink detection over an untrimmed stream.
 
-    One tracked stream per eye spans the whole video; its frames are
-    featurized once and every window position is sliced from those steps
-    and classified, ``WINDOW_BATCH`` windows per ``predict`` call. A lost
-    track ends the eye's windows: only those fully inside ``[0, lost_from)``
-    are scored. Windows at or above the confidence threshold become
-    proposals, pruned per eye by temporal NMS. Events come back sorted by
-    start frame. ``stride`` must be >= 1 and ``window`` must give the model
-    at least ``scales`` steps.
+    One tracked stream per eye spans the whole video. ``tracked_steps``
+    featurizes it once, up to the frame it is lost at, and
+    ``score_windows`` classifies every whole window inside those frames.
+    Windows at or above the confidence threshold become proposals, pruned
+    per eye by temporal NMS. Events come back sorted by start frame.
+    ``stride`` must be >= 1 and ``window`` must give the model at least
+    ``scales`` steps.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -286,16 +301,11 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     n = len(frames)
     if n < window:
         raise ValueError(f"stream of {n} frames shorter than window {window}")
-    streams = track_eyes(frames, locator)
     events: list[BlinkEvent] = []
-    for eye, stream in streams.items():
-        tracked = n if stream.lost_from is None else stream.lost_from
-        proposals = []
-        if tracked >= window:
-            steps = features.featurize_frames(frames[:tracked],
-                                              stream.boxes[:tracked])
-            starts, confs = _window_confidences(model, steps, window, stride)
-            proposals = [BlinkEvent(int(s), int(s) + window - 1, float(c), eye)
-                         for s, c in zip(starts, confs) if c >= conf_thresh]
-        events.extend(temporal_nms(proposals, iou_thresh))
+    steps = tracked_steps(frames, track_eyes(frames, locator), window)
+    for eye, seq in steps.items():
+        [windows] = score_windows(model, [seq], window, stride)
+        events.extend(temporal_nms(
+            [BlinkEvent(s, s + window - 1, c, eye) for s, _, c in windows
+             if c >= conf_thresh], iou_thresh))
     return sorted(events, key=lambda e: (e.start, EYES.index(e.eye)))

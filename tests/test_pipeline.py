@@ -174,6 +174,16 @@ def test_verify_mid_stream_loss_is_lost():
     assert not verdicts["right"].lost
 
 
+def test_verify_loss_at_the_last_frame_is_lost():
+    frames, locate = leaving_frames(8)  # left lost at frame 7 of 8
+    model = tiny_model(input_dim=118, hidden=4)
+    tracks = pipeline.track_eyes(frames, locate)
+    assert tracks["left"].lost_from == len(frames) - 1
+    verdicts, = pipeline.verify_streams([frames], [tracks], model)
+    assert verdicts["left"] == pipeline.EyeVerdict("nonblink", 0.0, True)
+    assert not verdicts["right"].lost
+
+
 def test_detect_scores_only_tracked_windows(monkeypatch):
     frames, locate = leaving_frames()
     calls = _stub_predict(monkeypatch)
@@ -526,6 +536,25 @@ def reference_detect(frames, locate, model, window=10, stride=1,
                 proposals.append(_event(s, s + window - 1, conf, eye))
         events.extend(pipeline.temporal_nms(proposals, iou_thresh))
     return sorted(events, key=lambda e: (e.start, pipeline.EYES.index(e.eye)))
+
+
+@pytest.mark.parametrize("window,stride", [(None, 1), (10, 1), (10, 3)])
+def test_score_windows_matches_each_window_alone(monkeypatch, window,
+                                                 stride):
+    monkeypatch.setattr(pipeline, "WINDOW_BATCH", 7)  # chunks cross seqs
+    rng = np.random.default_rng(5)
+    seqs = [rng.normal(size=(n, 118)) for n in (9, 12, 9)]
+    model = tiny_model(input_dim=118, hidden=4)
+    got = pipeline.score_windows(model, seqs, window, stride)
+    assert len(got) == len(seqs)
+    for seq, windows in zip(seqs, got):
+        n = len(seq) if window is None else window - 1
+        starts = list(range(0, len(seq) - n + 1, stride))
+        assert [s for s, _, _ in windows] == starts
+        for s, label, conf in windows:
+            want_label, want_conf = mslstm.predict(model, seq[s:s + n])
+            assert label == want_label
+            assert abs(conf - want_conf) <= 1e-12
 
 
 def test_detect_window_count(monkeypatch):

@@ -100,10 +100,8 @@ MUTANTS = [
      "        if tracked >= window:",
      "        if tracked > window:", None),
     ("detect threshold inclusive", "pipeline",
-     "                         for s, c in zip(starts, confs) "
-     "if c >= conf_thresh]",
-     "                         for s, c in zip(starts, confs) "
-     "if c > conf_thresh]", None),
+     "             if c >= conf_thresh], iou_thresh))",
+     "             if c > conf_thresh], iou_thresh))", None),
     ("re-localization trigger inclusive", "pipeline",
      "            low = located.scores < TRACK_THRESH",
      "            low = located.scores <= TRACK_THRESH",
@@ -133,9 +131,18 @@ MUTANTS = [
      "    return (replace(stack, regions=located.regions),",
      "    return (replace(stack, regions=stack.regions),", None),
     ("a group's verdicts come back in clip order", "pipeline",
-     "        for (i, eye, _), label, conf in zip(batch, labels.tolist(),",
-     "        for (i, eye, _), label, conf in zip(batch[::-1], "
-     "labels.tolist(),", None),
+     "    for (i, eye), [(_, label, conf)] in zip(keys, "
+     "score_windows(model, seqs)):",
+     "    for (i, eye), [(_, label, conf)] in zip(keys[::-1], "
+     "score_windows(model, seqs)):", None),
+    ("the last window of a sequence is scored", "pipeline",
+     "            (i, s) for s in range(0, len(seq) - n + 1, stride))",
+     "            (i, s) for s in range(0, len(seq) - n, stride))", None),
+    ("verify scores a track lost late in its clip as lost", "pipeline",
+     "        for eye, seq in tracked_steps(frames, tracks, "
+     "len(frames)).items():",
+     "        for eye, seq in tracked_steps(frames, tracks, "
+     "len(frames) - 1).items():", None),
     ("predict shifts scores by their max", "mslstm",
      "    z = scores - scores.max(axis=1, keepdims=True)",
      "    z = scores",

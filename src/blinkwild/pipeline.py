@@ -12,6 +12,7 @@ window feeds greedy temporal non-maximum suppression.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,105 +68,74 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
     """Track both eyes of every ``(frames, locator)`` clip, all in lockstep.
 
     At each frame index the live tracks of one padded size are the rows of
-    one ``tracker.KcfStack``: one stacked locate, then one stacked adapt of
-    the rows kept. The locator is asked at frame 0, and after that at most
-    once per clip per frame, when one of the clip's eyes scores below
-    ``TRACK_THRESH``. A re-localized row leaves its stack and is learned
-    afresh as a new row of the stack of its padded size, the same size or
-    a new one; if the locator finds no box for the eye, the row keeps the
-    tracker's best guess. A track that cannot start, or whose kept or
-    re-localized region cannot be cropped, ends there, with no box from
-    that frame on, and its row leaves the stack, as does every row of a
-    clip with no more frames.
+    one ``tracker.KcfStack``, and every frame, the first included, runs one
+    rule. Every stack is located once; at frame 0 every eye starts with no
+    guess and score 1.0. Each clip's locator is asked at most once, for its
+    eyes that have no guess or score below ``TRACK_THRESH``. An eye's box
+    is the locator's fresh box if it found one, and otherwise the tracker's
+    guess. The track ends there, with no box from that frame on, when there
+    is no box or ``tracker.track_size`` raises on it. A track whose clip
+    has a next frame stays in a stack: a guess is adapted in its own stack,
+    and a fresh box is learned as a new row of the stack of its padded
+    size. Every other row leaves its stack.
     """
     if any(not frames for frames, _ in clips):
         raise ValueError("need at least one frame")
     out = [{eye: TrackedStream(boxes=[], scores=[]) for eye in EYES}
            for _ in clips]
     stacks: dict[tuple[int, int], tracker.KcfStack] = {}
-
-    def end(key, t):
-        stream, n = out[key[0]][key[1]], len(clips[key[0]][0])
-        stream.lost_from = t
-        stream.boxes.extend([None] * (n - t))
-        stream.scores.extend([0.0] * (n - t))
-
-    def start(key, t, region, score):
-        """Box ``region`` at frame t and return its padded size, or end the
-        track there when it cannot be cropped and return None."""
-        try:
-            size = tracker.track_size(clips[key[0]][0][t], region)
-        except TrackLostError:
-            end(key, t)
-            return None
-        out[key[0]][key[1]].boxes.append(region)
-        out[key[0]][key[1]].scores.append(score)
-        return size
-
-    def join(t, joins):
+    # (key, stack row, tracker's guess, score) of each track at this frame
+    tracks = [((c, eye), None, None, 1.0)
+              for c in range(len(clips)) for eye in EYES]
+    for t in range(max((len(frames) for frames, _ in clips), default=0)):
+        found = {}
+        for size, stack in stacks.items():
+            frames_t = [clips[c][0][t] for c, _ in stack.keys]
+            located = tracker.stack_locate(stack, frames_t)
+            found[size] = frames_t, located
+            tracks += zip(stack.keys, range(len(stack.keys)),
+                          map(tuple, located.regions.tolist()),
+                          located.scores.tolist())
+        low = {key for key, _, guess, score in tracks
+               if guess is None or score < TRACK_THRESH}
+        records = {c: clips[c][1](clips[c][0][t], t)
+                   for c in sorted({c for c, _ in low})}
+        kept, joins = defaultdict(list), defaultdict(list)
+        for key, row, guess, score in tracks:
+            frames, stream = clips[key[0]][0], out[key[0]][key[1]]
+            fresh = None
+            if key in low:
+                if guess is not None:
+                    stream.reloc_indices.append(t)
+                rec = records[key[0]]
+                fresh = eye_box(rec, key[1]) if rec else None
+            box = guess if fresh is None else fresh
+            try:
+                if box is None:
+                    raise TrackLostError("the locator found no box")
+                size = tracker.track_size(frames[t], box)
+            except TrackLostError:
+                stream.lost_from = t
+                stream.boxes.extend([None] * (len(frames) - t))
+                stream.scores.extend([0.0] * (len(frames) - t))
+                continue
+            stream.boxes.append(box)
+            stream.scores.append(score)
+            if t + 1 < len(frames):
+                if fresh is None:
+                    kept[size].append(row)
+                else:
+                    joins[size].append((key, fresh))
+        for size, rows in kept.items():
+            tracker.stack_adapt(stacks[size], rows, *found[size])
+        stacks = {size: stacks[size] for size in kept}
         for size, rows in joins.items():
             if size not in stacks:
                 stacks[size] = tracker.kcf_stack(size)
             keys, regions = zip(*rows)
             tracker.stack_join(stacks[size], keys,
                                [clips[c][0][t] for c, _ in keys], regions)
-
-    joins = {}
-    for c, (frames, locate) in enumerate(clips):
-        located = locate(frames[0], 0)
-        for eye in EYES:
-            region = eye_box(located, eye) if located else None
-            if region is None:
-                end((c, eye), 0)
-            elif size := start((c, eye), 0, region, 1.0):
-                joins.setdefault(size, []).append(((c, eye), region))
-    join(0, joins)
-
-    for t in range(1, max((len(frames) for frames, _ in clips), default=0)):
-        for size in list(stacks):  # rows of clips with no more frames leave
-            tracker.stack_keep(stacks[size], [t < len(clips[c][0])
-                                              for c, _ in stacks[size].keys])
-            if not stacks[size].keys:
-                del stacks[size]
-        found = {}
-        asked = set()
-        for size, stack in stacks.items():
-            frames_t = [clips[c][0][t] for c, _ in stack.keys]
-            located = tracker.stack_locate(stack, frames_t)
-            low = located.scores < TRACK_THRESH
-            found[size] = frames_t, located, low
-            asked.update(c for (c, _), lo in zip(stack.keys, low) if lo)
-        records = {c: clips[c][1](clips[c][0][t], t) for c in sorted(asked)}
-        joins = {}
-        for size, (frames_t, located, low) in found.items():
-            stack = stacks[size]
-            keep = np.ones(len(stack.keys), dtype=bool)
-            kept = []
-            for row, (key, region, score) in enumerate(zip(
-                    stack.keys, located.regions.tolist(),
-                    located.scores.tolist())):
-                stream = out[key[0]][key[1]]
-                if low[row]:
-                    stream.reloc_indices.append(t)
-                    rec = records[key[0]]
-                    fresh = eye_box(rec, key[1]) if rec else None
-                    if fresh is not None:  # learned afresh as a new row
-                        keep[row] = False
-                        if new_size := start(key, t, fresh, score):
-                            joins.setdefault(new_size, []).append((key, fresh))
-                        continue
-                    # locator failed: keep the tracker's best guess
-                if tracker.in_frame(frames_t[row], region):
-                    kept.append(row)
-                    stream.boxes.append(tuple(region))
-                    stream.scores.append(score)
-                else:
-                    end(key, t)
-                    keep[row] = False
-            if kept:
-                tracker.stack_adapt(stack, np.array(kept), frames_t, located)
-            tracker.stack_keep(stack, keep)
-        join(t, joins)
+        tracks = []
     return out
 
 

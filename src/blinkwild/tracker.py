@@ -14,11 +14,12 @@ window and target spectrum are built once per padded size and shared,
 read-only, by every track of that size.
 
 The kernels take a leading track axis. A ``KcfStack`` keeps every track of
-one padded size as one row of stacked arrays, so that one call locates, or
-retrains, all of them (``stack_locate``, ``stack_adapt``). A track learned
-afresh leaves its stack (``stack_keep``) and joins the stack of its padded
-size as a new row (``stack_join``). ``kcf_init`` and ``kcf_update`` are the
-same calls on a stack of one row.
+one padded size as one row of stacked arrays, so that one call locates all
+of them (``stack_locate``) and one call keeps the rows a caller names,
+retrained (``stack_adapt``); every other row leaves the stack there. A track
+learned afresh joins the stack of its padded size as a new row
+(``stack_join``). ``kcf_init`` and ``kcf_update`` are the same calls on a
+stack of one row.
 """
 
 from __future__ import annotations
@@ -252,17 +253,6 @@ def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
     stack.keys = stack.keys + list(keys)
 
 
-def stack_keep(stack: KcfStack, keep) -> None:
-    """Drop every row whose ``keep`` entry is false."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.all():
-        return
-    stack.template_hat = stack.template_hat[keep]
-    stack.alpha_hat = stack.alpha_hat[keep]
-    stack.regions = stack.regions[keep]
-    stack.keys = [key for key, kept in zip(stack.keys, keep) if kept]
-
-
 def stack_locate(stack: KcfStack, frames) -> Located:
     """Locate every row's target in its frame (one per row): the response
     map is evaluated at the row's region and its argmax displacement moves
@@ -280,15 +270,14 @@ def stack_locate(stack: KcfStack, frames) -> Located:
                    probe_energy=probe_energy, moved=(dx != 0) | (dy != 0))
 
 
-def stack_adapt(stack: KcfStack, rows: np.ndarray, frames,
-                located: Located) -> None:
-    """Move ``rows`` to the regions ``located`` found for them in
-    ``frames`` (one per row of the stack), retrain them there and blend
-    the fresh model in with rate ``INTERP``; a row whose region did not
-    move trains on its probe. Each region's center lies inside its
+def stack_adapt(stack: KcfStack, rows, frames, located: Located) -> None:
+    """Keep only ``rows`` of the stack, in that order, each moved to the
+    region ``located`` found for it in ``frames`` (one per row of the
+    stack), retrained there and blended with its fresh model at rate
+    ``INTERP``; a row whose region did not move trains on its probe. Every
+    other row leaves the stack. Each kept region's center lies inside its
     frame."""
     regions = located.regions[rows]
-    stack.regions[rows] = regions
     fresh_hat = located.probe_hat[rows]
     fresh_energy = located.probe_energy[rows]
     moved = np.flatnonzero(located.moved[rows])
@@ -296,9 +285,11 @@ def stack_adapt(stack: KcfStack, rows: np.ndarray, frames,
         fresh_hat[moved], fresh_energy[moved] = _transform(
             [frames[rows[i]] for i in moved], regions[moved].tolist(),
             stack.window)
-    stack.template_hat[rows], stack.alpha_hat[rows] = _blend(
+    stack.template_hat, stack.alpha_hat = _blend(
         INTERP, stack.template_hat[rows], stack.alpha_hat[rows], fresh_hat,
         fresh_energy, stack.y_hat, stack.window.shape)
+    stack.regions = regions
+    stack.keys = [stack.keys[i] for i in rows]
 
 
 # ---------------------------------------------------------------------------

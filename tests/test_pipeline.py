@@ -11,37 +11,38 @@ from test_tracker import full_update, smooth_image
 
 @pytest.fixture(autouse=True)
 def one_row_per_key(monkeypatch):
-    """Every ``track_clips`` call here fails at once when a key joins a
-    stack while it still has a row in a live stack of the same call. A
-    stale row would otherwise only double its stack on each
-    re-localization, and slow the suite down without failing it."""
-    live = None  # the stacks of the running call; its keys repeat per call
-    kcf_stack, stack_join = tracker.kcf_stack, tracker.stack_join
-    track_clips = pipeline.track_clips
+    """Every ``track_clips`` call here fails at once when a key is located
+    in two rows at one frame. A stale row would otherwise only double its
+    stack on each re-localization, and slow the suite down without failing
+    it."""
+    located = None  # frame index -> keys located there, in the running call
+    index = {}      # id of each frame of the running call -> its index
+    stack_locate, track_clips = tracker.stack_locate, pipeline.track_clips
 
     def tracked(clips):
-        nonlocal live
-        live = []
+        nonlocal located, index
+        # one view per clip and frame index, so that a frame names its index
+        clips = [([frame.view() for frame in frames], locate)
+                 for frames, locate in clips]
+        index = {id(frame): t for frames, _ in clips
+                 for t, frame in enumerate(frames)}
+        located = {}
         try:
             return track_clips(clips)
         finally:
-            live = None
+            located, index = None, {}
 
-    def made(size):
-        stack = kcf_stack(size)
-        if live is not None:
-            live.append(stack)
-        return stack
-
-    def joined(stack, keys, frames, regions):
-        if live is not None:
-            stale = {key for s in live for key in s.keys} & set(keys)
-            assert not stale, f"{sorted(stale)} join with a row left"
-        stack_join(stack, keys, frames, regions)
+    def locating(stack, frames):
+        if located is not None:
+            for key, frame in zip(stack.keys, frames):
+                seen = located.setdefault(index[id(frame)], set())
+                assert key not in seen, (f"{key} has two rows at frame "
+                                         f"{index[id(frame)]}")
+                seen.add(key)
+        return stack_locate(stack, frames)
 
     monkeypatch.setattr(pipeline, "track_clips", tracked)
-    monkeypatch.setattr(tracker, "kcf_stack", made)
-    monkeypatch.setattr(tracker, "stack_join", joined)
+    monkeypatch.setattr(tracker, "stack_locate", locating)
 
 
 def reference_nms(proposals, iou_thresh):
@@ -286,18 +287,44 @@ def test_track_matches_reference_when_locator_fails():
 
 
 def test_track_retrains_only_kept_frames(monkeypatch):
-    """One stacked adapt per frame, of the rows that frame keeps."""
-    frames, locate = _clip_frames_and_locator("clip", 1)
-    adapted = []
-    adapt = tracker.stack_adapt
+    """Below a clip's last frame, each frame adapts exactly the rows it
+    keeps and learns afresh exactly the rows it re-localizes; its last
+    frame adapts and learns nothing. Seed 1's last frame re-localizes both
+    eyes and seed 3's keeps both; both clips have one padded size, so frame
+    t is the t-th stacked locate."""
+    t, adapted, joined = 0, {}, {}
+    stack_locate = tracker.stack_locate
+    adapt, join = tracker.stack_adapt, tracker.stack_join
+
+    def locating(stack, frames_t):
+        nonlocal t
+        t += 1
+        return stack_locate(stack, frames_t)
+
+    monkeypatch.setattr(tracker, "stack_locate", locating)
     monkeypatch.setattr(tracker, "stack_adapt",
-                        lambda stack, rows, *rest: adapted.append(len(rows))
+                        lambda stack, rows, *rest: adapted.setdefault(
+                            t, []).append(len(rows))
                         or adapt(stack, rows, *rest))
-    streams = pipeline.track_eyes(frames, locate)
-    relocs = [sum(t in s.reloc_indices for s in streams.values())
-              for t in range(1, len(frames))]
-    assert any(relocs)
-    assert adapted == [2 - r for r in relocs if r < 2]
+    monkeypatch.setattr(tracker, "stack_join",
+                        lambda stack, keys, *rest: joined.setdefault(
+                            t, []).append(len(keys))
+                        or join(stack, keys, *rest))
+    for seed, last_relocs in [(1, 2), (3, 0)]:
+        frames, locate = _clip_frames_and_locator("clip", seed)
+        t, adapted, joined = 0, {}, {}
+        streams = pipeline.track_eyes(frames, locate)
+        last = len(frames) - 1
+        assert t == last
+        assert all(s.lost_from is None for s in streams.values())
+        relocs = [sum(i in s.reloc_indices for s in streams.values())
+                  for i in range(len(frames))]
+        assert relocs[last] == last_relocs
+        assert 0 < sum(relocs[1:last]) < 2 * (last - 1)
+        assert adapted == {i: [2 - relocs[i]] for i in range(1, last)
+                           if relocs[i] < 2}
+        assert joined == {0: [2], **{i: [relocs[i]] for i in range(1, last)
+                                     if relocs[i]}}
 
 
 def shift_leaving_frame():
@@ -359,10 +386,26 @@ def resized_from_noise_frame():
     return frames, locate
 
 
+def resized_on_last_frame(face_width):
+    """The first five frames of ``resized_from_noise_frame``, whose last is
+    the noise frame, with a face ``face_width`` px wide there: the left
+    track re-localizes on the clip's last frame to a box of
+    ``face_width / 9`` px."""
+    frames, base = resized_from_noise_frame()
+
+    def locate(frame, i):
+        rec = base(frame, i)
+        return rec if i < 4 else replace(
+            rec, face_box=(*rec.face_box[:2], face_width, rec.face_box[3]))
+
+    return frames[:5], locate
+
+
 def test_track_clips_matches_reference_per_clip_and_eye():
-    """One lockstep call over clips of 10 to 60 frames, with tracks of 18,
+    """One lockstep call over clips of 1 to 60 frames, with tracks of 18,
     30 and 40 px patches, against each clip and eye tracked alone. Scores
     may differ by float64 rounding of the stacked products."""
+    frames, locate = _clip_frames_and_locator("clip", 3)
     group = [_clip_frames_and_locator("stream", 0),
              _clip_frames_and_locator("clip", 1),
              leaving_frames(),           # 30 px; left lost at frame 7
@@ -371,6 +414,10 @@ def test_track_clips_matches_reference_per_clip_and_eye():
              _clip_frames_and_locator("clip", 2),
              noise_frame_clip(),
              shift_leaving_frame(),
+             (frames[:1], locate),
+             (frames[:2], locate),
+             resized_on_last_frame(108.0),  # left: 12 px box, 30 px patch
+             resized_on_last_frame(9.0),    # left: 1 px box, 2 px patch
              resized_from_noise_frame()]
     tracks = pipeline.track_clips(group)
     assert len(tracks) == len(group)
@@ -388,9 +435,17 @@ def test_track_clips_matches_reference_per_clip_and_eye():
     assert sizes == {(18, 18), (30, 30), (40, 40)}
     assert tracks[2]["left"].lost_from == 7
     assert tracks[3]["left"].lost_from == 0
+    assert [len(s.boxes) for s in tracks[8].values()] == [1, 1]
+    assert [len(s.boxes) for s in tracks[9].values()] == [2, 2]
+    for resized in tracks[10]["left"], tracks[11]["left"]:
+        assert resized.reloc_indices[-1] == 4
+    assert tracks[10]["left"].boxes[4][2] == 12.0
+    assert tracks[11]["left"].lost_from == 4
+    assert tracks[11]["right"].lost_from is None
     resized = tracks[-1]["left"]
     assert 4 in resized.reloc_indices
     assert [b[2] for b in resized.boxes] == [16.0] * 4 + [12.0] * 6
+    assert pipeline.track_clips([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,31 @@ def test_update_locates_without_retraining(rng):
     assert not np.array_equal(adapted.alpha_hat, state.alpha_hat)
 
 
+def test_adapt_keeps_only_its_rows_in_their_order(rng):
+    """A three-row stack adapted with rows [2, 0] holds rows 2 and 0, in
+    that order, each as its own one-row full update would leave it; row 1
+    is gone. Row 0's frame moves its region and row 2's does not."""
+    base = smooth_image(rng)
+    shifted = np.roll(base, (2, -3), axis=(0, 1))
+    regions = [(30.0, 40.0, 16.0, 16.0), (60.0, 40.0, 16.0, 16.0),
+               (45.0, 60.0, 16.0, 16.0)]
+    frames = [shifted, shifted, base]
+    stack = tracker.kcf_stack((40, 40))
+    tracker.stack_join(stack, ["a", "b", "c"], [base] * 3, regions)
+    located = tracker.stack_locate(stack, frames)
+    assert located.moved.tolist() == [True, True, False]
+    tracker.stack_adapt(stack, [2, 0], frames, located)
+    assert stack.keys == ["c", "a"]
+    for i, row in enumerate([2, 0]):
+        want, _ = full_update(tracker.kcf_init(base, regions[row]),
+                              frames[row])
+        assert stack.regions[i].tolist() == want.regions[0].tolist()
+        for got, ref in [(stack.template_hat[i], want.template_hat[0]),
+                         (stack.alpha_hat[i], want.alpha_hat[0])]:
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    assert stack.template_hat.shape[0] == stack.alpha_hat.shape[0] == 2
+
+
 def test_moved_center_outside_frame_is_lost_at_next_crop(rng):
     """The update reports a center that left the frame, so a caller can
     re-localize; the next crop there, the retrain or the next update, ends

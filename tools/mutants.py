@@ -76,8 +76,8 @@ MUTANTS = [
      "    return min(max(lo, 0), n), min(max(hi, 0), n)",
      "    return lo, hi", None),
     ("re-localized frame's score", "pipeline",
-     "                        if new_size := start(key, t, fresh, score):",
-     "                        if new_size := start(key, t, fresh, 1.0):",
+     "            stream.scores.append(score)",
+     "            stream.scores.append(score if fresh is None else 1.0)",
      None),
     ("synth checks --length before it saves", "cli",
      "        dataset.check_synth(label, args.length)",
@@ -103,8 +103,8 @@ MUTANTS = [
      "             if c >= conf_thresh], iou_thresh))",
      "             if c > conf_thresh], iou_thresh))", None),
     ("re-localization trigger inclusive", "pipeline",
-     "            low = located.scores < TRACK_THRESH",
-     "            low = located.scores <= TRACK_THRESH",
+     "               if guess is None or score < TRACK_THRESH}",
+     "               if guess is None or score <= TRACK_THRESH}",
      "the trigger differs only on a response peak equal to 0.25 to the "
      "last bit, which a continuous correlation score does not produce"),
     ("unwrap at exactly N/2", "tracker",
@@ -113,20 +113,26 @@ MUTANTS = [
      "a lag of N/2 is the same circular shift either way, and it sits on "
      "the Hann window's zero edge where the response never peaks"),
     ("a re-localization re-learns only its own row", "pipeline",
-     "                if low[row]:",
-     "                if key[0] in records:", None),
-    ("a lost row leaves its stack", "pipeline",
-     "                    keep[row] = False",
-     "                    pass", None),
+     "            if key in low:",
+     "            if key[0] in records:", None),
+    ("a lost track leaves its stack", "pipeline",
+     "                continue",
+     "                pass", None),
     ("a re-localized row leaves its stack", "pipeline",
-     "                        keep[row] = False",
-     "                        pass", None),
+     "                if fresh is None:",
+     "                if fresh is None or t and kept[size].append(row):",
+     None),
+    ("a re-localized track is learned afresh, not adapted", "pipeline",
+     "                if fresh is None:",
+     "                if row is not None:", None),
     ("a re-localized row joins the stack of its new padded size",
      "pipeline",
-     "                            joins.setdefault(new_size, []).append("
-     "(key, fresh))",
-     "                            joins.setdefault(size, []).append("
-     "(key, fresh))", None),
+     "                size = tracker.track_size(frames[t], box)",
+     "                size = tracker.track_size(frames[t], guess or box)",
+     None),
+    ("no track stays in a stack past its clip's last frame", "pipeline",
+     "            if t + 1 < len(frames):",
+     "            if t < len(frames):", None),
     ("kcf_update moves its stack to the located region", "tracker",
      "    return (replace(stack, regions=located.regions),",
      "    return (replace(stack, regions=stack.regions),", None),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,25 @@ class LstmLayerParams:
 
 @dataclass
 class MsLstmModel:
+    """Every parameter array is a view into the one vector ``params``, laid
+    out in model-file order: (w, u, b) for each layer, then the head. The
+    constructor copies the given arrays into that vector."""
     layers: list[LstmLayerParams]
     head: np.ndarray        # (2, scales*hidden), rows unit norm
     scales: int             # T: how many trailing hidden states feed the head
     margin: int             # m: angular margin used by the A-softmax loss
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.concatenate(
+            [np.ravel(a) for lp in self.layers for a in (lp.w, lp.u, lp.b)]
+            + [np.ravel(self.head)], dtype=np.float64)
+        self.layers, self.head = self.unpack(self.params)
+
+    def unpack(self, vec: np.ndarray):
+        """Views of ``vec``, laid out like ``params``: (layers, head)."""
+        return _unpack(vec, _model_shapes(len(self.layers), self.scales,
+                                          self.hidden, self.input_dim))
 
     @property
     def hidden(self) -> int:
@@ -150,8 +165,10 @@ def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
     return feats, caches
 
 
-def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
-    """BPTT from the gradient of the concatenated feature.
+def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray,
+                    grad_layers: list[LstmLayerParams]) -> None:
+    """BPTT from the gradient of the concatenated feature, written into the
+    per-layer gradient views ``grad_layers``.
 
     Only the recurrence runs step by step. The weight gradients, and the
     gradient handed to the layer below, are one GEMM each over all steps.
@@ -161,7 +178,6 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
     h_top = model.layers[-1].hidden
     t_scales = model.scales
 
-    grads = []
     # seed top-layer dh from the feature concatenation
     dh_seq = np.zeros((b, n, h_top))
     dh_seq[:, n - t_scales:, :] = dfeat.reshape(b, t_scales, h_top)
@@ -188,15 +204,14 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray):
             da[:, 3 * hd:] = dg * (1 - g * g)
             dh_next = da @ params.u.T
         da_flat = da_seq.reshape(b * n, -1)
+        grad = grad_layers[layer_idx]
+        np.matmul(inp.reshape(b * n, -1).T, da_flat, out=grad.w)
         # h_prev is zero at t = 0, so that step adds nothing to dU
-        dU = (outs[:, :-1].reshape(-1, hd).T
-              @ da_seq[:, 1:].reshape(-1, GATES * hd))
-        grads.append({"w": inp.reshape(b * n, -1).T @ da_flat, "u": dU,
-                      "b": da_flat.sum(axis=0)})
+        np.matmul(outs[:, :-1].reshape(-1, hd).T,
+                  da_seq[:, 1:].reshape(-1, GATES * hd), out=grad.u)
+        da_flat.sum(axis=0, out=grad.b)
         if layer_idx:  # dh of the layer below
             dh_seq = (da_flat @ params.w.T).reshape(b, n, -1)
-    grads.reverse()
-    return grads
 
 
 def _geometry(model: MsLstmModel, x: np.ndarray):
@@ -323,38 +338,24 @@ def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
 
 def loss_and_grads(model: MsLstmModel, x: np.ndarray, labels: np.ndarray,
                    loss_kind: str = "asoftmax"):
-    """Mean batch loss and gradients for every parameter array.
+    """Mean batch loss and its gradient.
 
     x: (batch, steps, input_dim); labels: (batch,) of {0, 1}.
-    Returns (loss, grads) with grads = {"layers": [{"w","u","b"}...],
-    "head": array}.
+    Returns (loss, grad) with grad laid out like ``model.params``.
     """
     feats, caches = _run_layers(model, np.asarray(x, dtype=np.float64),
                                 keep_cache=True)
     loss, dfeat, dhead = _head_loss_and_grads(
         model, feats, np.asarray(labels), loss_kind)
-    layer_grads = _backward_batch(model, caches, dfeat)
-    return loss, {"layers": layer_grads, "head": dhead}
+    grad = np.empty_like(model.params)
+    grad_layers, grad_head = model.unpack(grad)
+    _backward_batch(model, caches, dfeat, grad_layers)
+    grad_head[...] = dhead
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def _param_arrays(model: MsLstmModel):
-    for lp in model.layers:
-        yield lp.w
-        yield lp.u
-        yield lp.b
-    yield model.head
-
-
-def _grad_arrays(grads):
-    for g in grads["layers"]:
-        yield g["w"]
-        yield g["u"]
-        yield g["b"]
-    yield grads["head"]
 
 
 def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
@@ -376,9 +377,8 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
                       for seq, _ in train_set])
 
     rng = np.random.default_rng(config.seed)
-    params = list(_param_arrays(model))
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    m_a = np.zeros_like(model.params)
+    v_a = np.zeros_like(model.params)
     history = []
     order = np.array([], dtype=int)
     for step in range(1, config.max_steps + 1):
@@ -390,18 +390,15 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
             batch_idx.extend(order[:take].tolist())
             order = order[take:]
         idx = np.array(batch_idx)
-        loss, grads = loss_and_grads(model, x_all[idx], labels[idx],
-                                     config.loss)
+        loss, g = loss_and_grads(model, x_all[idx], labels[idx], config.loss)
         lr = config.learning_rate(step)
         b1c = 1.0 - ADAM_BETA1 ** step
         b2c = 1.0 - ADAM_BETA2 ** step
-        for p, g, m_a, v_a in zip(params, _grad_arrays(grads),
-                                  m_state, v_state):
-            m_a *= ADAM_BETA1
-            m_a += (1 - ADAM_BETA1) * g
-            v_a *= ADAM_BETA2
-            v_a += (1 - ADAM_BETA2) * g * g
-            p -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + ADAM_EPSILON)
+        m_a *= ADAM_BETA1
+        m_a += (1 - ADAM_BETA1) * g
+        v_a *= ADAM_BETA2
+        v_a += (1 - ADAM_BETA2) * g * g
+        model.params -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + ADAM_EPSILON)
         model.head /= np.linalg.norm(model.head, axis=1, keepdims=True)
         history.append(loss)
     return model, history
@@ -444,10 +441,18 @@ def save_model(path: str, model: MsLstmModel) -> None:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<5I", len(model.layers), model.scales,
                             model.hidden, model.input_dim, model.margin))
-        for lp in model.layers:
-            for arr in (lp.w, lp.u, lp.b):
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.head, dtype="<f8").tobytes())
+        f.write(model.params.astype("<f8", copy=False).tobytes())
+
+
+def _unpack(vec: np.ndarray, shapes):
+    """Views of ``vec`` cut to ``shapes`` in file order: (layers, head)."""
+    views, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(vec[start:start + n].reshape(shape))
+        start += n
+    return ([LstmLayerParams(*views[i:i + 3])
+             for i in range(0, len(views) - 1, 3)], views[-1])
 
 
 def _model_shapes(n_layers: int, scales: int, hidden: int, input_dim: int):
@@ -463,7 +468,7 @@ def _model_shapes(n_layers: int, scales: int, hidden: int, input_dim: int):
 
 def load_model(path: str) -> MsLstmModel:
     """Read a model file, checking its header against the file size before
-    any array is allocated."""
+    any array is allocated, and rejecting a non-finite parameter."""
     header_size = len(MODEL_MAGIC) + 20
     with open(path, "rb") as f:
         header = f.read(header_size)
@@ -479,9 +484,8 @@ def load_model(path: str) -> MsLstmModel:
                                        f"{value}, must be >= 1")
         n_layers, scales, hidden, input_dim, margin = dims
         size = os.fstat(f.fileno()).st_size
-        shapes, expected = [], header_size
+        expected = header_size
         for shape in _model_shapes(n_layers, scales, hidden, input_dim):
-            shapes.append(shape)
             expected += 8 * math.prod(shape)
             if expected > size:
                 raise ModelFormatError(f"{path}: truncated: the header "
@@ -489,16 +493,9 @@ def load_model(path: str) -> MsLstmModel:
         if expected != size:
             raise ModelFormatError(f"{path}: {size - expected} bytes after "
                                    f"the model")
-        body = f.read()
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        n = math.prod(shape)
-        arrays.append(np.frombuffer(body, dtype="<f8", count=n,
-                                    offset=offset).reshape(shape)
-                      .astype(np.float64))
-        offset += 8 * n
-    layers = [LstmLayerParams(*arrays[i:i + 3])
-              for i in range(0, 3 * n_layers, 3)]
-    return MsLstmModel(layers=layers, head=arrays[-1], scales=scales,
-                       margin=margin)
+        params = np.frombuffer(f.read(), dtype="<f8")
+    if not np.all(np.isfinite(params)):
+        raise ModelFormatError(f"{path}: non-finite model parameter")
+    layers, head = _unpack(params, _model_shapes(n_layers, scales, hidden,
+                                                 input_dim))
+    return MsLstmModel(layers=layers, head=head, scales=scales, margin=margin)

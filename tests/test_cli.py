@@ -388,6 +388,38 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def nan_model(small_model, tmp_path):
+    """``small_model`` with its last parameter set to NaN."""
+    path = tmp_path / "nan.bin"
+    path.write_bytes(small_model.read_bytes()[:-8]
+                     + np.array([np.nan], dtype="<f8").tobytes())
+    return path
+
+
+def test_detect_non_finite_model_is_one_line_error(nan_model, tmp_path,
+                                                   capsys):
+    clip, _ = dataset.synth_stream(1, 40, blink_center=20)
+    stream_dir = tmp_path / "stream"
+    dataset.save_clip(str(stream_dir), clip)
+    out = tmp_path / "events.csv"
+    assert run(["detect", "--frames", stream_dir, "--model", nan_model,
+                "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {nan_model}: ")
+    assert not out.exists()
+
+
+def test_verify_non_finite_model_is_one_line_error(small_dataset, nan_model,
+                                                   tmp_path, capsys):
+    out = tmp_path / "v"
+    assert run(["verify", "--manifest", small_dataset / "manifest.tsv",
+                "--model", nan_model, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {nan_model}: ")
+    assert not (out / "predictions.csv").exists()
+
+
 def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
                                       monkeypatch):
     """Each test clip goes into exactly one lockstep call, with at most

@@ -265,13 +265,14 @@ def test_backward_matches_step_by_step_reference(rng):
     x = rng.normal(size=(5, 7, 6))
     feats, caches = mslstm._run_layers(model, x, keep_cache=True)
     dfeat = rng.normal(size=feats.shape)
-    got = mslstm._backward_batch(model, caches, dfeat)
+    got, _ = model.unpack(np.full_like(model.params, np.nan))
+    mslstm._backward_batch(model, caches, dfeat, got)
     want = reference_bptt(model, caches, dfeat)
     assert len(got) == len(want) == 3
     for g, r in zip(got, want):
         for key in ("w", "u", "b"):
-            assert g[key].shape == r[key].shape
-            assert np.max(np.abs(g[key] - r[key])) < 1e-12
+            assert getattr(g, key).shape == r[key].shape
+            assert np.max(np.abs(getattr(g, key) - r[key])) < 1e-12
 
 
 def reference_asoftmax_head(model, feats, labels):
@@ -420,6 +421,71 @@ def test_head_unit_norm_after_training():
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
+def _file_order(layers, head):
+    """Arrays in model-file order: (w, u, b) for each layer, then head."""
+    return [a for lp in layers for a in (lp.w, lp.u, lp.b)] + [head]
+
+
+def _assert_views_in_file_order(model):
+    """Every parameter array is a C-contiguous view of ``model.params``,
+    the next one starting where the last ended."""
+    base = model.params.__array_interface__["data"][0]
+    offset = 0
+    for arr in _file_order(model.layers, model.head):
+        assert np.shares_memory(arr, model.params)
+        assert arr.flags.c_contiguous
+        assert arr.__array_interface__["data"][0] == base + 8 * offset
+        offset += arr.size
+    assert offset == model.params.size
+    assert model.params.dtype == np.float64 and model.params.flags.writeable
+
+
+def reference_adam_train(model, data, cfg):
+    """``train`` as a per-array Adam loop, each array updated on its own,
+    reading the gradient through views of the same layout."""
+    labels = np.array([lbl for _, lbl in data])
+    x_all = np.stack([seq for seq, _ in data])
+    rng = np.random.default_rng(cfg.seed)
+    params = _file_order(model.layers, model.head)
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    order = np.array([], dtype=int)
+    for step in range(1, cfg.max_steps + 1):
+        batch_idx = []
+        while len(batch_idx) < cfg.batch_size:
+            if order.size == 0:
+                order = rng.permutation(len(data))
+            take = min(cfg.batch_size - len(batch_idx), order.size)
+            batch_idx.extend(order[:take].tolist())
+            order = order[take:]
+        idx = np.array(batch_idx)
+        _, grad = mslstm.loss_and_grads(model, x_all[idx], labels[idx],
+                                        cfg.loss)
+        grads = _file_order(*model.unpack(grad))
+        lr = cfg.learning_rate(step)
+        b1c = 1.0 - mslstm.ADAM_BETA1 ** step
+        b2c = 1.0 - mslstm.ADAM_BETA2 ** step
+        for p, g, m_a, v_a in zip(params, grads, m_state, v_state):
+            m_a *= mslstm.ADAM_BETA1
+            m_a += (1 - mslstm.ADAM_BETA1) * g
+            v_a *= mslstm.ADAM_BETA2
+            v_a += (1 - mslstm.ADAM_BETA2) * g * g
+            p -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + mslstm.ADAM_EPSILON)
+        model.head /= np.linalg.norm(model.head, axis=1, keepdims=True)
+    return model
+
+
+@pytest.mark.parametrize("loss_kind", ["softmax", "asoftmax"])
+def test_train_matches_per_array_adam(loss_kind):
+    cfg = mslstm.TrainConfig(max_steps=25, batch_size=8, seed=1,
+                             loss=loss_kind)
+    got, _ = mslstm.train(tiny_model(hidden=4), _separable_set(), cfg)
+    want = reference_adam_train(tiny_model(hidden=4), _separable_set(), cfg)
+    assert np.array_equal(got.params, want.params)
+    assert not np.array_equal(got.params, tiny_model(hidden=4).params)
+    _assert_views_in_file_order(got)
+
+
 def test_learning_rate_schedule():
     cfg = mslstm.TrainConfig()
     assert cfg.learning_rate(1) == 1e-2
@@ -457,7 +523,7 @@ def test_predict_class_relabel_symmetry(rng):
     model = tiny_model(hidden=3)
     seq = rng.normal(size=(5, 6))
     label, conf = mslstm.predict(model, seq)
-    model.head = model.head[::-1].copy()
+    model.head[:] = model.head[::-1].copy()
     label2, conf2 = mslstm.predict(model, seq)
     assert label2 == 1 - label
     assert np.isclose(conf2, 1.0 - conf)
@@ -479,6 +545,50 @@ def test_model_round_trip(tmp_path):
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.b, b.b)
+
+
+def reference_model_bytes(model):
+    """The model file as written one array at a time."""
+    out = [mslstm.MODEL_MAGIC,
+           struct.pack("<5I", len(model.layers), model.scales, model.hidden,
+                       model.input_dim, model.margin)]
+    out += [np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in _file_order(model.layers, model.head)]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("layers, scales", [(1, 1), (2, 2), (3, 3)])
+def test_params_back_every_array_in_file_order(tmp_path, layers, scales):
+    model = tiny_model(input_dim=6, hidden=3, layers=layers, scales=scales)
+    _assert_views_in_file_order(model)
+    model.layers[-1].b[2] = 7.0
+    model.head[1, 0] = -0.5
+    path = tmp_path / "m.bin"
+    mslstm.save_model(str(path), model)
+    assert path.read_bytes() == reference_model_bytes(model)
+    back = mslstm.load_model(str(path))
+    _assert_views_in_file_order(back)
+    assert np.array_equal(back.params, model.params)
+    assert len(back.layers) == layers and back.scales == scales
+
+
+def test_model_constructor_copies_its_arrays(rng):
+    params = _zero_params(3, 2)
+    model = _one_layer(params)
+    params.w[0, 0] = 1.0
+    assert model.layers[0].w[0, 0] == 0.0
+    _assert_views_in_file_order(model)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, -1])
+def test_model_non_finite_parameter_rejected(tmp_path, bad, index):
+    path, data = _saved_model_bytes(tmp_path)
+    params = np.frombuffer(data[24:], dtype="<f8").copy()
+    params[index] = bad
+    path.write_bytes(data[:24] + params.tobytes())
+    with pytest.raises(ModelFormatError, match=f"{path}: non-finite"):
+        mslstm.load_model(str(path))
 
 
 def test_model_bad_magic_rejected(tmp_path):

@@ -154,6 +154,15 @@ MUTANTS = [
      "    z = scores",
      "the scores are r*cos with tanh-bounded features, far below where "
      "exp overflows; the shift only guards that case"),
+    ("a model file with a non-finite parameter is rejected", "mslstm",
+     "    if not np.all(np.isfinite(params)):",
+     "    if False:", None),
+    ("Adam corrects the second moment's bias", "mslstm",
+     "        b2c = 1.0 - ADAM_BETA2 ** step",
+     "        b2c = 1.0", None),
+    ("the head's gradient block is written", "mslstm",
+     "    grad_head[...] = dhead",
+     "    pass", None),
 ]
 
 

@@ -134,6 +134,10 @@ def cmd_train(args) -> int:
                                 batch_size=args.batch_size, seed=args.seed,
                                 loss=args.loss)
     model, history = mslstm.train(model, train_set, config)
+    if not (np.all(np.isfinite(history))
+            and np.all(np.isfinite(model.params))):
+        raise ValueError(f"{args.model}: not written: training reached a "
+                         f"non-finite loss or parameter")
     mslstm.save_model(args.model, model)
     loss_csv = os.path.splitext(args.model)[0] + "_loss.csv"
     with open(loss_csv, "w", newline="") as f:

@@ -117,22 +117,17 @@ def init_model(input_dim: int = 118, hidden: int = 64, layers: int = 2,
                        margin=margin)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
 def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
     """Run every layer over x (batch, steps, input_dim) from a zero state.
 
     This is the one LSTM core: ``predict`` (inference) and
     ``loss_and_grads`` (training) both call it. Returns (features (batch,
-    T*hidden), caches). With ``keep_cache`` the caches hold, per layer, its
-    parameters, input and output sequences and the per-step (c_prev, i, f,
-    o, g, tanh(c)) that BPTT needs; without it they are None, which spares
-    inference from keeping every gate alive.
+    T*hidden), caches). One ``tanh`` over each step's 4h gate block gives
+    every gate, i/f/o as sigmoid(x) = 1/2 + tanh(x/2)/2. With ``keep_cache``
+    the caches hold, per layer, its parameters, input and output sequences
+    and the per-step (c_prev, ifo, g, tanh(c)) that BPTT needs, ``ifo`` and
+    ``g`` being views of the step's gate block; without it they are None,
+    which spares inference from keeping every gate alive.
     """
     b, n, _ = x.shape
     if n < model.scales:
@@ -146,16 +141,17 @@ def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
         steps = []
         outs = np.empty((b, n, h))
         for t in range(n):
-            xt = inp[:, t, :]
-            a = xt @ params.w + h_t @ params.u + params.b
-            ifo = _sigmoid(a[:, :3 * h])
-            i, f, o = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
-            g = np.tanh(a[:, 3 * h:])
-            c_new = f * c_t + i * g
+            a = inp[:, t, :] @ params.w + h_t @ params.u + params.b
+            ifo, g = a[:, :3 * h], a[:, 3 * h:]
+            ifo *= 0.5
+            np.tanh(a, out=a)
+            ifo += 1.0
+            ifo *= 0.5  # i, f, o = (1 + tanh(x/2)) / 2
+            c_new = ifo[:, h:2 * h] * c_t + ifo[:, :h] * g
             tc = np.tanh(c_new)
-            h_new = o * tc
+            h_new = ifo[:, 2 * h:] * tc
             if keep_cache:
-                steps.append((c_t, i, f, o, g, tc))
+                steps.append((c_t, ifo, g, tc))
             h_t, c_t = h_new, c_new
             outs[:, t, :] = h_new
         if keep_cache:
@@ -189,19 +185,16 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray,
         dh_next = np.zeros((b, hd))
         dc_next = np.zeros((b, hd))
         for t in range(n - 1, -1, -1):
-            c_prev, i, f, o, g, tc = steps[t]
+            c_prev, ifo, g, tc = steps[t]
             dh = dh_seq[:, t, :] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_next = dc * f
+            dc = dc_next + dh * ifo[:, 2 * hd:] * (1.0 - tc * tc)
             da = da_seq[:, t, :]
-            da[:, :hd] = di * i * (1 - i)
-            da[:, hd:2 * hd] = df * f * (1 - f)
-            da[:, 2 * hd:3 * hd] = do * o * (1 - o)
-            da[:, 3 * hd:] = dg * (1 - g * g)
+            np.multiply(dc, g, out=da[:, :hd])
+            np.multiply(dc, c_prev, out=da[:, hd:2 * hd])
+            np.multiply(dh, tc, out=da[:, 2 * hd:3 * hd])
+            da[:, :3 * hd] *= ifo * (1 - ifo)
+            da[:, 3 * hd:] = dc * ifo[:, :hd] * (1 - g * g)
+            dc_next = dc * ifo[:, hd:2 * hd]
             dh_next = da @ params.u.T
         da_flat = da_seq.reshape(b * n, -1)
         grad = grad_layers[layer_idx]

@@ -420,6 +420,29 @@ def test_verify_non_finite_model_is_one_line_error(small_dataset, nan_model,
     assert not (out / "predictions.csv").exists()
 
 
+def test_train_non_finite_is_one_line_error(small_dataset, tmp_path,
+                                            monkeypatch, capsys):
+    loss_and_grads = mslstm.loss_and_grads
+    steps = []
+
+    def nan_at_step_3(*args):
+        loss, grad = loss_and_grads(*args)
+        steps.append(loss)
+        if len(steps) == 3:
+            grad[0] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(mslstm, "loss_and_grads", nan_at_step_3)
+    model = tmp_path / "m.bin"
+    assert run(["train", "--manifest", small_dataset / "manifest.tsv",
+                "--model", model, "--steps", 6, "--batch-size", 4,
+                "--hidden", 4]) == 1
+    assert len(steps) == 6
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
                                       monkeypatch):
     """Each test clip goes into exactly one lockstep call, with at most

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def test_cell_matches_reference_oracle():
             h_ref, c_ref = reference_lstm_step(inp[:, t], h_prev, c_prev,
                                                params)
             assert np.max(np.abs(outs[:, t] - h_ref)) < 1e-12
-            assert np.max(np.abs(steps[t][5] - np.tanh(c_ref))) < 1e-12
+            assert np.max(np.abs(steps[t][-1] - np.tanh(c_ref))) < 1e-12
             if t < 4:
                 assert np.max(np.abs(steps[t + 1][0] - c_ref)) < 1e-12
             h_prev = outs[:, t]
@@ -113,6 +114,26 @@ def test_hidden_state_bounded(rng):
         seq = rng.normal(scale=3.0, size=(8, 6))
         feat, _, _ = forward(model, seq)
         assert np.max(np.abs(feat)) <= 1.0
+
+
+@pytest.mark.parametrize("loss_kind", ["asoftmax", "softmax"])
+def test_saturated_gates_stay_finite_without_warnings(loss_kind, rng):
+    """Gate pre-activations of about +-1e4, of both signs in every gate,
+    give finite scores, losses and gradients and no RuntimeWarning (an
+    exp that overflows would raise one)."""
+    model = tiny_model(input_dim=6, hidden=3)
+    for params in model.layers:
+        params.b[:] = 1e4 * rng.choice([-1.0, 1.0], size=params.b.size)
+    x = 1e4 * rng.normal(size=(4, 5, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels, confs = mslstm.predict(model, x)
+        loss, grad = mslstm.loss_and_grads(model, x, np.array([0, 1, 0, 1]),
+                                           loss_kind)
+    assert np.all(np.isfinite(confs)) and labels.shape == (4,)
+    assert np.isfinite(loss) and np.all(np.isfinite(grad))
+    a = x[:, 0] @ model.layers[0].w + model.layers[0].b
+    assert np.min(np.abs(a)) > 100 and np.max(np.abs(a)) > 5e3
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +263,8 @@ def reference_bptt(model, caches, dfeat):
         dx_seq = np.zeros(inp.shape)
         dh_next, dc_next = np.zeros((b, hd)), np.zeros((b, hd))
         for t in range(n - 1, -1, -1):
-            c_prev, i, f, o, g, tc = steps[t]
+            c_prev, ifo, g, tc = steps[t]
+            i, f, o = np.split(ifo, 3, axis=1)
             h_prev = outs[:, t - 1] if t else np.zeros((b, hd))
             dh = dh_seq[:, t] + dh_next
             dc = dc_next + dh * o * (1 - tc * tc)

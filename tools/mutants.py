@@ -1,12 +1,14 @@
 """Mutation probe: does some test fail when a rule of the program is broken?
 
-Each mutant below replaces one line of ``src/blinkwild``. For each, the probe
-copies the tree into a temporary directory, applies the mutant there, runs
-the test files that cover the mutated module with ``pytest -x -q`` and
-prints ``killed`` (a test failed) or ``survived``. The checkout is never
-written to. An equivalent mutant cannot be told apart from the program by
-any input the tests could give; it carries its reason and is expected to
-survive. Exits 1 when a mutant that is not equivalent survives.
+Each mutant below replaces one line of ``src/blinkwild``. The probe copies
+the checkout once, into a temporary ``base``, so one run tests one tree even
+if the checkout is edited meanwhile. For each mutant it copies ``base``,
+applies the mutant in the copy, runs the test files that cover the mutated
+module with ``pytest -x -q`` and prints ``killed`` (a test failed) or
+``survived``. The checkout is never written to. An equivalent mutant cannot
+be told apart from the program by any input the tests could give; it
+carries its reason and is expected to survive. Exits 1 when a mutant that is
+not equivalent survives.
 
     python3 tools/mutants.py
 
@@ -35,11 +37,11 @@ COVERS = {
     "features": ["tests/test_features.py", "tests/test_pipeline.py",
                  "tests/test_acceptance.py"],
     "mslstm": ["tests/test_mslstm.py", "tests/test_pipeline.py",
-               "tests/test_acceptance.py"],
+               "tests/test_golden.py", "tests/test_acceptance.py"],
     "pipeline": ["tests/test_pipeline.py", "tests/test_cli.py",
-                 "tests/test_acceptance.py"],
+                 "tests/test_golden.py", "tests/test_acceptance.py"],
     "tracker": ["tests/test_tracker.py", "tests/test_pipeline.py",
-                "tests/test_acceptance.py"],
+                "tests/test_golden.py", "tests/test_acceptance.py"],
 }
 
 # (name, module, line as in the source, mutated line, equivalence reason)
@@ -163,15 +165,25 @@ MUTANTS = [
     ("the head's gradient block is written", "mslstm",
      "    grad_head[...] = dhead",
      "    pass", None),
+    ("i, f and o are tanh of half their pre-activation", "mslstm",
+     "            ifo *= 0.5",
+     "            ifo *= 1.0", None),
+    ("the i/f/o block takes the sigmoid derivative", "mslstm",
+     "            da[:, :3 * hd] *= ifo * (1 - ifo)",
+     "            pass", None),
+    ("train writes no model after a non-finite result", "cli",
+     "    if not (np.all(np.isfinite(history))",
+     "    if False and not (np.all(np.isfinite(history))", None),
 ]
 
 
+IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+
+
 def _copy_tree(dest: str) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
-                                    ".pytest_cache")
     for name in ("src", "tests", "demos"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
-                        ignore=ignore)
+                        ignore=IGNORE)
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
@@ -207,11 +219,10 @@ def main() -> int:
         if not _tests_pass(base, every):
             print("the unmutated tree fails its tests; no mutant was run")
             return 1
-        shutil.rmtree(base)
         missed = 0
         for k, (name, module, old, new, reason) in enumerate(MUTANTS):
             tree = os.path.join(tmp, str(k))
-            _copy_tree(tree)
+            shutil.copytree(base, tree, ignore=IGNORE)
             _mutate(tree, module, old, new)
             t0 = time.monotonic()
             survived = _tests_pass(tree, COVERS[module])

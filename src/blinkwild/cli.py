@@ -138,13 +138,18 @@ def cmd_train(args) -> int:
             and np.all(np.isfinite(model.params))):
         raise ValueError(f"{args.model}: not written: training reached a "
                          f"non-finite loss or parameter")
-    mslstm.save_model(args.model, model)
     loss_csv = os.path.splitext(args.model)[0] + "_loss.csv"
-    with open(loss_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(history, start=1):
-            writer.writerow([i, repr(loss)])
+    temps = [args.model + ".tmp", loss_csv + ".tmp"]  # renamed when complete
+    try:
+        mslstm.save_model(temps[0], model)
+        with open(temps[1], "w", newline="") as f:
+            csv.writer(f).writerows([("step", "loss"), *(
+                (i, repr(loss)) for i, loss in enumerate(history, start=1))])
+        os.replace(temps[0], args.model)
+        os.replace(temps[1], loss_csv)
+    finally:
+        for path in filter(os.path.exists, temps):
+            os.remove(path)
     print(f"trained {args.steps} steps on {len(train_set)} samples; "
           f"model at {args.model}, losses at {loss_csv}")
     return 0

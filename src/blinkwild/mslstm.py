@@ -117,94 +117,116 @@ def init_model(input_dim: int = 118, hidden: int = 64, layers: int = 2,
                        margin=margin)
 
 
-def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool):
+def _buf(work, key, shape: tuple) -> np.ndarray:
+    """An unset array of ``shape``, kept in the dict ``work`` for reuse."""
+    if work is None:
+        return np.empty(shape)
+    if key not in work or work[key].shape != shape:
+        work[key] = np.empty(shape)
+    return work[key]
+
+
+def _run_layers(model: MsLstmModel, x: np.ndarray, keep_cache: bool,
+                work=None):
     """Run every layer over x (batch, steps, input_dim) from a zero state.
 
     This is the one LSTM core: ``predict`` (inference) and
     ``loss_and_grads`` (training) both call it. Returns (features (batch,
-    T*hidden), caches). One ``tanh`` over each step's 4h gate block gives
-    every gate, i/f/o as sigmoid(x) = 1/2 + tanh(x/2)/2. With ``keep_cache``
-    the caches hold, per layer, its parameters, input and output sequences
-    and the per-step (c_prev, ifo, g, tanh(c)) that BPTT needs, ``ifo`` and
-    ``g`` being views of the step's gate block; without it they are None,
-    which spares inference from keeping every gate alive.
+    T*hidden), caches), working time-major in buffers from ``work``. One
+    ``tanh`` over each step's 4h gate block gives every gate, i/f/o as
+    sigmoid(x) = 1/2 + tanh(x/2)/2. With ``keep_cache`` the caches hold per
+    layer (params, inp, outs, gates, c, tc), each (steps, batch, width):
+    input and output sequences, i/f/o/g, cell states (steps + 1 of them,
+    c[0] the zero state) and tanh(c[1:]). Without it they are None, and
+    gates, c and tc have one slot that every step overwrites.
     """
-    b, n, _ = x.shape
+    b, n, d = x.shape
     if n < model.scales:
         raise ValueError(f"sequence length {n} shorter than T={model.scales}")
     caches = [] if keep_cache else None
-    inp = x
-    for params in model.layers:
+    slots = n if keep_cache else 1
+    inp = _buf(work, "x", (n, b, d))
+    inp[...] = x.transpose(1, 0, 2)
+    for layer_idx, params in enumerate(model.layers):
         h = params.hidden
-        h_t = np.zeros((b, h))
-        c_t = np.zeros((b, h))
-        steps = []
-        outs = np.empty((b, n, h))
+        gates = _buf(work, ("gates", layer_idx), (slots, b, GATES * h))
+        c = _buf(work, ("c", layer_idx), (slots + keep_cache, b, h))
+        tc = _buf(work, ("tc", layer_idx), (slots, b, h))
+        outs = _buf(work, ("outs", layer_idx), (n, b, h))
+        hu = _buf(work, "hu", (b, GATES * h))
+        c[0] = 0.0
         for t in range(n):
-            a = inp[:, t, :] @ params.w + h_t @ params.u + params.b
+            k = t if keep_cache else 0  # the step's slot
+            a = gates[k]
+            np.matmul(inp[t], params.w, out=a)
+            if t:  # h is zero at t = 0
+                a += np.matmul(outs[t - 1], params.u, out=hu)
+            a += params.b
             ifo, g = a[:, :3 * h], a[:, 3 * h:]
             ifo *= 0.5
             np.tanh(a, out=a)
             ifo += 1.0
             ifo *= 0.5  # i, f, o = (1 + tanh(x/2)) / 2
-            c_new = ifo[:, h:2 * h] * c_t + ifo[:, :h] * g
-            tc = np.tanh(c_new)
-            h_new = ifo[:, 2 * h:] * tc
-            if keep_cache:
-                steps.append((c_t, ifo, g, tc))
-            h_t, c_t = h_new, c_new
-            outs[:, t, :] = h_new
+            c_new = c[k + 1] if keep_cache else c[0]
+            np.multiply(ifo[:, h:2 * h], c[k], out=c_new)
+            c_new += np.multiply(ifo[:, :h], g, out=tc[k])
+            np.tanh(c_new, out=tc[k])
+            np.multiply(ifo[:, 2 * h:], tc[k], out=outs[t])
         if keep_cache:
-            caches.append((params, inp, outs, steps))
+            caches.append((params, inp, outs, gates, c, tc))
         inp = outs
-    feats = inp[:, n - model.scales:, :].reshape(b, -1)
+    feats = inp[n - model.scales:].transpose(1, 0, 2).reshape(b, -1)
     return feats, caches
 
 
 def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray,
-                    grad_layers: list[LstmLayerParams]) -> None:
+                    grad_layers: list[LstmLayerParams], work=None) -> None:
     """BPTT from the gradient of the concatenated feature, written into the
     per-layer gradient views ``grad_layers``.
 
     Only the recurrence runs step by step. The weight gradients, and the
     gradient handed to the layer below, are one GEMM each over all steps.
     """
-    b = dfeat.shape[0]
-    n = caches[0][2].shape[1]
-    h_top = model.layers[-1].hidden
-    t_scales = model.scales
-
+    n, b, hd = caches[-1][2].shape
     # seed top-layer dh from the feature concatenation
-    dh_seq = np.zeros((b, n, h_top))
-    dh_seq[:, n - t_scales:, :] = dfeat.reshape(b, t_scales, h_top)
-
+    dh_seq = _buf(work, "dh", (n, b, hd))
+    dh_seq[:n - model.scales] = 0.0
+    dh_seq[n - model.scales:] = dfeat.reshape(b, -1, hd).transpose(1, 0, 2)
+    da_seq = _buf(work, "da", (n, b, GATES * hd))
+    dtc = _buf(work, "dtc", (n, b, hd))
+    dc, s = _buf(work, "dc", (b, hd)), _buf(work, "s", (b, hd))
+    prod = _buf(work, "prod", (b, GATES * hd))
+    u_t = _buf(work, "u_t", (GATES * hd, hd))  # a contiguous u.T: faster GEMM
     for layer_idx in range(len(model.layers) - 1, -1, -1):
-        params, inp, outs, steps = caches[layer_idx]
-        hd = params.hidden
-        da_seq = np.empty((b, n, GATES * hd))
-        dh_next = np.zeros((b, hd))
-        dc_next = np.zeros((b, hd))
+        params, inp, outs, gates, c, tc = caches[layer_idx]
+        u_t[...] = params.u.T
+        # all steps' gate and tanh(c) derivatives; da_seq[t] *= prod gives da
+        ifo, g = gates[..., :3 * hd], gates[..., 3 * hd:]
+        d_ifo, d_g = da_seq[..., :3 * hd], da_seq[..., 3 * hd:]
+        np.multiply(ifo, np.subtract(1, ifo, out=d_ifo), out=d_ifo)
+        np.subtract(1, np.multiply(g, g, out=d_g), out=d_g)
+        np.subtract(1, np.multiply(tc, tc, out=dtc), out=dtc)
+        dc[...] = 0.0
         for t in range(n - 1, -1, -1):
-            c_prev, ifo, g, tc = steps[t]
-            dh = dh_seq[:, t, :] + dh_next
-            dc = dc_next + dh * ifo[:, 2 * hd:] * (1.0 - tc * tc)
-            da = da_seq[:, t, :]
-            np.multiply(dc, g, out=da[:, :hd])
-            np.multiply(dc, c_prev, out=da[:, hd:2 * hd])
-            np.multiply(dh, tc, out=da[:, 2 * hd:3 * hd])
-            da[:, :3 * hd] *= ifo * (1 - ifo)
-            da[:, 3 * hd:] = dc * ifo[:, :hd] * (1 - g * g)
-            dc_next = dc * ifo[:, hd:2 * hd]
-            dh_next = da @ params.u.T
-        da_flat = da_seq.reshape(b * n, -1)
+            ifo, g = gates[t][:, :3 * hd], gates[t][:, 3 * hd:]
+            dc += np.multiply(np.multiply(dh_seq[t], ifo[:, 2 * hd:], out=s),
+                              dtc[t], out=s)
+            np.multiply(dc, g, out=prod[:, :hd])
+            np.multiply(dc, c[t], out=prod[:, hd:2 * hd])
+            np.multiply(dh_seq[t], tc[t], out=prod[:, 2 * hd:3 * hd])
+            np.multiply(dc, ifo[:, :hd], out=prod[:, 3 * hd:])
+            da_seq[t] *= prod
+            dc *= ifo[:, hd:2 * hd]
+            if t:  # dh of step t - 1
+                dh_seq[t - 1] += np.matmul(da_seq[t], u_t, out=s)
+        da_flat = da_seq.reshape(n * b, -1)
         grad = grad_layers[layer_idx]
-        np.matmul(inp.reshape(b * n, -1).T, da_flat, out=grad.w)
+        np.matmul(inp.reshape(n * b, -1).T, da_flat, out=grad.w)
         # h_prev is zero at t = 0, so that step adds nothing to dU
-        np.matmul(outs[:, :-1].reshape(-1, hd).T,
-                  da_seq[:, 1:].reshape(-1, GATES * hd), out=grad.u)
+        np.matmul(outs[:-1].reshape(-1, hd).T, da_flat[b:], out=grad.u)
         da_flat.sum(axis=0, out=grad.b)
         if layer_idx:  # dh of the layer below
-            dh_seq = (da_flat @ params.w.T).reshape(b, n, -1)
+            np.matmul(da_flat, params.w.T, out=dh_seq.reshape(n * b, -1))
 
 
 def _geometry(model: MsLstmModel, x: np.ndarray):
@@ -330,19 +352,20 @@ def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
 
 
 def loss_and_grads(model: MsLstmModel, x: np.ndarray, labels: np.ndarray,
-                   loss_kind: str = "asoftmax"):
+                   loss_kind: str = "asoftmax", work=None):
     """Mean batch loss and its gradient.
 
     x: (batch, steps, input_dim); labels: (batch,) of {0, 1}.
-    Returns (loss, grad) with grad laid out like ``model.params``.
+    Returns (loss, grad) with grad laid out like ``model.params``. Buffers,
+    grad included, come from ``work`` (``_buf``), for a later call to reuse.
     """
     feats, caches = _run_layers(model, np.asarray(x, dtype=np.float64),
-                                keep_cache=True)
+                                True, work)
     loss, dfeat, dhead = _head_loss_and_grads(
         model, feats, np.asarray(labels), loss_kind)
-    grad = np.empty_like(model.params)
+    grad = _buf(work, "grad", model.params.shape)
     grad_layers, grad_head = model.unpack(grad)
-    _backward_batch(model, caches, dfeat, grad_layers)
+    _backward_batch(model, caches, dfeat, grad_layers, work)
     grad_head[...] = dhead
     return loss, grad
 
@@ -370,6 +393,7 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
                       for seq, _ in train_set])
 
     rng = np.random.default_rng(config.seed)
+    work = {}  # every step's buffers, reused by the next step
     m_a = np.zeros_like(model.params)
     v_a = np.zeros_like(model.params)
     history = []
@@ -383,15 +407,21 @@ def train(model: MsLstmModel, train_set, config: TrainConfig | None = None):
             batch_idx.extend(order[:take].tolist())
             order = order[take:]
         idx = np.array(batch_idx)
-        loss, g = loss_and_grads(model, x_all[idx], labels[idx], config.loss)
+        x = _buf(work, "batch", (idx.size,) + x_all.shape[1:])
+        np.take(x_all, idx, axis=0, out=x, mode="clip")  # "raise" copies
+        loss, g = loss_and_grads(model, x, labels[idx], config.loss, work)
         lr = config.learning_rate(step)
         b1c = 1.0 - ADAM_BETA1 ** step
         b2c = 1.0 - ADAM_BETA2 ** step
+        # lr * (m / b1c) / (sqrt(v / b2c) + eps) in place, rounded as written
+        s = _buf(work, "adam", g.shape)
         m_a *= ADAM_BETA1
-        m_a += (1 - ADAM_BETA1) * g
+        m_a += np.multiply(1 - ADAM_BETA1, g, out=s)
         v_a *= ADAM_BETA2
-        v_a += (1 - ADAM_BETA2) * g * g
-        model.params -= lr * (m_a / b1c) / (np.sqrt(v_a / b2c) + ADAM_EPSILON)
+        v_a += np.multiply(np.multiply(1 - ADAM_BETA2, g, out=s), g, out=s)
+        np.multiply(lr, np.divide(m_a, b1c, out=s), out=s)
+        np.add(np.sqrt(np.divide(v_a, b2c, out=g), out=g), ADAM_EPSILON, out=g)
+        model.params -= np.divide(s, g, out=s)
         model.head /= np.linalg.norm(model.head, axis=1, keepdims=True)
         history.append(loss)
     return model, history

@@ -443,6 +443,25 @@ def test_train_non_finite_is_one_line_error(small_dataset, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_failed_write_leaves_no_output(small_dataset, tmp_path,
+                                             monkeypatch, capsys):
+    """A loss CSV write that fails leaves the model an earlier run wrote as
+    it was, and neither a loss CSV nor a temporary file."""
+    def disk_full(f):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.csv, "writer", disk_full)
+    model = tmp_path / "m.bin"
+    model.write_bytes(b"earlier model")
+    assert run(["train", "--manifest", small_dataset / "manifest.tsv",
+                "--model", model, "--steps", 2, "--batch-size", 4,
+                "--hidden", 4]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == [model]
+    assert model.read_bytes() == b"earlier model"
+
+
 def test_verify_tracks_each_clip_once(small_dataset, small_model, tmp_path,
                                       monkeypatch):
     """Each test clip goes into exactly one lockstep call, with at most

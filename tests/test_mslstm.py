@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +84,16 @@ def test_cell_gate_saturation_preserves_memory(rng):
     assert np.allclose(c_kept, c_written, atol=1e-12)
 
 
+def batch_major(caches):
+    """The core's time-major caches as (params, inp, outs, steps) per layer:
+    inp and outs (batch, steps, dim), and per step (c_prev, ifo, g, tanh(c))
+    as views of the caches."""
+    return [(params, inp.transpose(1, 0, 2), outs.transpose(1, 0, 2),
+             [(c[t], a[:, :3 * params.hidden], a[:, 3 * params.hidden:],
+               tc[t]) for t, a in enumerate(gates)])
+            for params, inp, outs, gates, c, tc in caches]
+
+
 def test_cell_matches_reference_oracle():
     r = np.random.default_rng(7)
     model = tiny_model(input_dim=3, hidden=2, layers=2, scales=1, seed=7)
@@ -91,7 +102,7 @@ def test_cell_matches_reference_oracle():
     x = r.normal(size=(4, 5, 3))
     _, caches = mslstm._run_layers(model, x, keep_cache=True)
     want_inp = x
-    for params, inp, outs, steps in caches:
+    for params, inp, outs, steps in batch_major(caches):
         assert np.array_equal(inp, want_inp)
         h_prev = np.zeros((4, 2))
         for t in range(5):
@@ -289,12 +300,62 @@ def test_backward_matches_step_by_step_reference(rng):
     dfeat = rng.normal(size=feats.shape)
     got, _ = model.unpack(np.full_like(model.params, np.nan))
     mslstm._backward_batch(model, caches, dfeat, got)
-    want = reference_bptt(model, caches, dfeat)
+    want = reference_bptt(model, batch_major(caches), dfeat)
     assert len(got) == len(want) == 3
     for g, r in zip(got, want):
         for key in ("w", "u", "b"):
             assert getattr(g, key).shape == r[key].shape
             assert np.max(np.abs(getattr(g, key) - r[key])) < 1e-12
+
+
+def test_workspace_reuse_matches_a_fresh_call(rng):
+    """One workspace across batches of a new size and a model of another
+    hidden size gives exactly what a call without one gives; then again
+    with every kept buffer set to NaN after each call, so no buffer is read
+    before the call writes it."""
+    cases = [(tiny_model(), 5), (tiny_model(seed=4), 5), (tiny_model(), 8),
+             (tiny_model(hidden=5, layers=3, scales=1), 8), (tiny_model(), 2)]
+    work = {}
+    for poison in (False, True):
+        for model, batch in cases:
+            for loss_kind in ("asoftmax", "softmax"):
+                x = rng.normal(size=(batch, 6, 6))
+                labels = np.arange(batch) % 2
+                want, want_grad = mslstm.loss_and_grads(model, x, labels,
+                                                        loss_kind)
+                got, grad = mslstm.loss_and_grads(model, x, labels,
+                                                  loss_kind, work)
+                assert got == want and np.array_equal(grad, want_grad)
+                for buf in work.values() if poison else ():
+                    buf.fill(np.nan)
+
+
+def test_train_step_allocates_no_step_sized_buffers(monkeypatch):
+    """From the start of one ``loss_and_grads`` call to the next, that is one
+    training step with its Adam update and the next batch, traced memory
+    rises at most 512 KB after the first step; a new set of BPTT caches at
+    the default sizes takes about 4 MB."""
+    loss_and_grads = mslstm.loss_and_grads
+    starts, rises = [], []
+
+    def traced(*args):
+        if starts:
+            rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return loss_and_grads(*args)
+
+    monkeypatch.setattr(mslstm, "loss_and_grads", traced)
+    r = np.random.default_rng(0)
+    data = [(r.normal(size=(9, 118)), i % 2) for i in range(40)]
+    tracemalloc.start()
+    try:
+        mslstm.train(mslstm.init_model(seed=0), data,
+                     mslstm.TrainConfig(max_steps=5, batch_size=32))
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 4
+    assert max(rises[1:]) <= 512 * 1024, rises
 
 
 def reference_asoftmax_head(model, feats, labels):

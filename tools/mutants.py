@@ -169,8 +169,20 @@ MUTANTS = [
      "            ifo *= 0.5",
      "            ifo *= 1.0", None),
     ("the i/f/o block takes the sigmoid derivative", "mslstm",
-     "            da[:, :3 * hd] *= ifo * (1 - ifo)",
-     "            pass", None),
+     "        np.multiply(ifo, np.subtract(1, ifo, out=d_ifo), out=d_ifo)",
+     "        np.subtract(1, ifo, out=d_ifo)", None),
+    ("every sequence starts from a zero cell state", "mslstm",
+     "        c[0] = 0.0",
+     "        pass", None),
+    ("BPTT starts every layer from a zero dc", "mslstm",
+     "        dc[...] = 0.0",
+     "        pass", None),
+    ("the top layer's dh is zero before its last T steps", "mslstm",
+     "    dh_seq[:n - model.scales] = 0.0",
+     "    pass", None),
+    ("train writes its model under a temporary name", "cli",
+     "        mslstm.save_model(temps[0], model)",
+     "        mslstm.save_model(args.model, model)", None),
     ("train writes no model after a non-finite result", "cli",
      "    if not (np.all(np.isfinite(history))",
      "    if False and not (np.all(np.isfinite(history))", None),

@@ -36,8 +36,10 @@ CLIP_BATCH = 16
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    payload = json.dumps({k: v for k, v in sorted(vars(args).items())
-                          if k != "func"}, default=str, sort_keys=True)
+    """Hash of the command and its flags, except where the outputs go."""
+    payload = json.dumps({k: v for k, v in vars(args).items()
+                          if k not in ("func", "out")}, default=str,
+                         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -213,10 +215,8 @@ def _score(args, manifest, predictions, fr_by_eye, path) -> None:
                         "f1": f1, "fr": fr_by_eye.get(eye)}
     scores = [(conf, is_blink) for eye in EYES
               for conf, is_blink, _ in outcomes[eye]]
-    report = evaluation.EvalReport(per_eye=per_eye, seed=args.seed,
-                                   config_hash=_config_hash(args),
-                                   scores=scores)
-    evaluation.emit_report(report, path)
+    evaluation.emit_report(path, per_eye, scores, args.seed,
+                           _config_hash(args))
     for eye in EYES:
         print(f"{eye}: " + " ".join(
             f"{k}=n/a" if v is None else f"{k}={v:.4f}"

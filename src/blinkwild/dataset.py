@@ -345,7 +345,8 @@ def load_manifest(path: str) -> Manifest:
     """Parse a manifest: ``clip_dir<TAB>label<TAB>split<TAB>source_id``.
 
     Clip paths are resolved relative to the manifest file. Every referenced
-    clip directory must exist and no source_id may straddle the splits.
+    clip directory must exist, and each source_id is non-empty and names one
+    entry; a repeat in the other split is a SplitViolationError.
     A malformed manifest raises a ManifestError naming the file.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -371,8 +372,13 @@ def load_manifest(path: str) -> Manifest:
         resolved = clip_dir if os.path.isabs(clip_dir) else os.path.join(base, clip_dir)
         if not os.path.isdir(resolved):
             raise MissingAssetError(f"{path}:{lineno}: no clip at {resolved}")
+        if not source_id:
+            raise ManifestError(f"{path}:{lineno}: empty source id")
         prev = seen.get(source_id)
-        if prev is not None and prev != split:
+        if prev == split:
+            raise ManifestError(f"{path}:{lineno}: source {source_id!r} "
+                                f"repeated in the {split} split")
+        if prev is not None:
             raise SplitViolationError(
                 f"{path}:{lineno}: source {source_id!r} in both splits")
         seen[source_id] = split

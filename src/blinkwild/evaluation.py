@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dataset import manhattan
 from .errors import DegenerateGeometryError
 from .pipeline import BlinkEvent, temporal_iou
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 ME_THRESHOLD = 0.4  # localization counts as correct iff ME <= 0.4
 AP_OVERLAP = 0.5  # a detection matches a gt interval iff IoU >= 0.5
 
@@ -115,16 +115,6 @@ def average_precision(events: list[BlinkEvent],
     return ap / len(gt)
 
 
-@dataclass
-class EvalReport:
-    per_eye: dict  # eye -> {"recall","precision","f1","fr"}; fr None: unknown
-    ap: float | None = None
-    seed: int | None = None
-    config_hash: str = ""
-    timing_ms: dict = field(default_factory=dict)
-    scores: list = field(default_factory=list)  # (confidence, true_label)
-
-
 def _pr_rows(scores) -> list[tuple[float, float, float]]:
     """PR sweep: one row per distinct confidence plus a row at +inf."""
     positives = sum(1 for _, lbl in scores if lbl)
@@ -138,19 +128,15 @@ def _pr_rows(scores) -> list[tuple[float, float, float]]:
     return rows
 
 
-def emit_report(report: EvalReport, path: str) -> None:
-    """Write ``path``.json, ``path``.csv and ``path``_pr.csv deterministically."""
-    payload = {
-        "version": REPORT_VERSION,
-        "per_eye": {eye: {k: report.per_eye[eye][k]
-                          for k in sorted(report.per_eye[eye])}
-                    for eye in sorted(report.per_eye)},
-        "ap": report.ap,
-        "seed": report.seed,
-        "config_hash": report.config_hash,
-        "timing_ms": {k: report.timing_ms[k]
-                      for k in sorted(report.timing_ms)},
-    }
+def emit_report(path: str, per_eye: dict, scores, seed: int,
+                config_hash: str) -> None:
+    """Write ``path``.json, ``path``.csv and ``path``_pr.csv deterministically.
+
+    ``per_eye`` maps each eye to its recall, precision, f1 and fr (None:
+    not measured); ``scores`` holds one (confidence, is_blink) per row.
+    """
+    payload = {"version": REPORT_VERSION, "per_eye": per_eye, "seed": seed,
+               "config_hash": config_hash}
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path + ".json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -158,15 +144,15 @@ def emit_report(report: EvalReport, path: str) -> None:
     with open(path + ".csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["eye", "recall", "precision", "f1", "fr"])
-        for eye in sorted(report.per_eye):
-            vals = report.per_eye[eye]
+        for eye in sorted(per_eye):
+            vals = per_eye[eye]
             writer.writerow([eye] + ["" if vals[k] is None else repr(vals[k])
                                      for k in ("recall", "precision", "f1",
                                                "fr")])
     with open(path + "_pr.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["threshold", "precision", "recall"])
-        for thr, precision, recall in _pr_rows(report.scores):
+        for thr, precision, recall in _pr_rows(scores):
             writer.writerow([repr(thr), repr(precision), repr(recall)])
 
 

@@ -259,11 +259,15 @@ def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
     ``score_windows`` classifies every whole window inside those frames.
     Windows at or above the confidence threshold become proposals, pruned
     per eye by temporal NMS. Events come back sorted by start frame.
-    ``stride`` must be >= 1 and ``window`` must give the model at least
-    ``scales`` steps.
+    ``stride`` must be >= 1, ``window`` must give the model at least
+    ``scales`` steps, and both thresholds must be finite.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    for name, value in (("conf-thresh", conf_thresh),
+                        ("iou-thresh", iou_thresh)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if window - 1 < model.scales:
         raise ValueError(f"window must be >= {model.scales + 1} frames "
                          f"(the model reads its last {model.scales} "

@@ -245,6 +245,34 @@ def test_verify_and_eval(small_dataset, small_model, tmp_path, capsys):
             == (out / "report_pr.csv").read_bytes())
 
 
+def test_config_hash_ignores_out_but_not_seed(small_dataset, small_model,
+                                             tmp_path):
+    hashes = []
+    for seed, name in ((3, "a"), (3, "b"), (4, "c")):
+        out = tmp_path / name
+        assert run(["--seed", seed, "verify", "--manifest",
+                    small_dataset / "manifest.tsv", "--model", small_model,
+                    "--out", out]) == 0
+        hashes.append(json.loads((out / "report.json").read_text()
+                                 )["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
+def test_verify_repeated_source_id_is_one_line_error(small_dataset,
+                                                     small_model, tmp_path,
+                                                     capsys):
+    entries = dataset.load_manifest(
+        str(small_dataset / "manifest.tsv")).split("test")
+    manifest = tmp_path / "repeated.tsv"
+    dataset.write_manifest(str(manifest), entries + entries[:1])
+    out = tmp_path / "v"
+    assert run(["verify", "--manifest", manifest, "--model", small_model,
+                "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest}:")
+    assert not (out / "predictions.csv").exists()
+
+
 def test_detect_writes_events(small_model, tmp_path):
     clip, gt = dataset.synth_stream(12, 50, blink_center=25)
     stream_dir = str(tmp_path / "stream")
@@ -257,7 +285,9 @@ def test_detect_writes_events(small_model, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--stride", 0), ("--stride", -1),
-                                        ("--window", 0)])
+                                        ("--window", 0),
+                                        ("--conf-thresh", "nan"),
+                                        ("--iou-thresh", "nan")])
 def test_detect_bad_window_argument_is_one_line_error(small_model, tmp_path,
                                                       capsys, flag, value):
     clip, _ = dataset.synth_stream(1, 40, blink_center=20)
@@ -268,6 +298,7 @@ def test_detect_bad_window_argument_is_one_line_error(small_model, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag[2:] in err
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_verify_region_too_small_ends_track(small_dataset, small_model,

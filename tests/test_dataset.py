@@ -39,6 +39,23 @@ def test_manifest_split_violation(tmp_path):
         dataset.load_manifest(str(path))
 
 
+@pytest.mark.parametrize("second_id,second_split", [
+    ("same", "train"),  # an id repeated within its split
+    ("", "test"),  # an empty id
+])
+def test_manifest_source_id_unique_and_non_empty(tmp_path, second_id,
+                                                 second_split):
+    d1 = _write_clip(tmp_path, "a")
+    d2 = _write_clip(tmp_path, "b")
+    path = tmp_path / "m.tsv"
+    path.write_text(f"{d1}\tblink\ttrain\tsame\n"
+                    f"{d2}\tnonblink\t{second_split}\t{second_id}\n")
+    with pytest.raises(ManifestError) as exc:
+        dataset.load_manifest(str(path))
+    assert str(exc.value).startswith(f"{path}:2: ")
+    assert not isinstance(exc.value, SplitViolationError)
+
+
 def test_manifest_three_lines_preserve_order(tmp_path):
     dirs = [_write_clip(tmp_path, f"c{i}") for i in range(3)]
     lines = [f"{dirs[0]}\tblink\ttrain\tc0",

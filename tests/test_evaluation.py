@@ -202,47 +202,41 @@ def test_ap_invariant_to_monotone_confidence_map(rng):
 # report emission
 
 
-def _sample_report():
-    return evaluation.EvalReport(
-        per_eye={"left": {"recall": 1 / 3, "precision": 0.5, "f1": 0.4,
-                          "fr": 0.125},
-                 "right": {"recall": 0.75, "precision": 0.6, "f1": 2 / 3,
-                           "fr": 0.0}},
-        ap=0.91, seed=7, config_hash="abc123",
-        timing_ms={"tracking": 1.5},
-        scores=[(0.9, True), (0.8, False), (0.8, True), (0.4, False),
-                (0.2, True)])
+SAMPLE_PER_EYE = {"left": {"recall": 1 / 3, "precision": 0.5, "f1": 0.4,
+                           "fr": 0.125},
+                  "right": {"recall": 0.75, "precision": 0.6, "f1": 2 / 3,
+                            "fr": None}}
+
+
+def _emit_sample(path):
+    evaluation.emit_report(path, SAMPLE_PER_EYE,
+                           [(0.9, True), (0.8, False), (0.8, True),
+                            (0.4, False), (0.2, True)],
+                           seed=7, config_hash="abc123")
 
 
 def test_report_round_trip_exact(tmp_path):
-    report = _sample_report()
     path = str(tmp_path / "rep")
-    evaluation.emit_report(report, path)
+    _emit_sample(path)
     back = evaluation.load_report(path)
-    assert back["version"] == evaluation.REPORT_VERSION
-    assert back["ap"] == 0.91
-    assert back["seed"] == 7
-    assert back["config_hash"] == "abc123"
-    for eye in ("left", "right"):
-        for key, val in report.per_eye[eye].items():
-            assert back["per_eye"][eye][key] == val  # bit-exact
+    assert back == {"version": 3, "per_eye": SAMPLE_PER_EYE, "seed": 7,
+                    "config_hash": "abc123"}  # floats bit-exact
+    assert evaluation.REPORT_VERSION == 3
 
 
 def test_report_emission_deterministic(tmp_path):
-    report = _sample_report()
     blobs = []
     for name in ("a", "b"):
         path = str(tmp_path / name)
-        evaluation.emit_report(report, path)
+        _emit_sample(path)
         blobs.append(tuple(Path(path + suffix).read_bytes()
                            for suffix in (".json", ".csv", "_pr.csv")))
     assert blobs[0] == blobs[1]
 
 
 def test_pr_curve_row_count(tmp_path):
-    report = _sample_report()  # 5 events, 4 distinct confidences
     path = str(tmp_path / "rep")
-    evaluation.emit_report(report, path)
+    _emit_sample(path)  # 5 events, 4 distinct confidences
     lines = Path(path + "_pr.csv").read_text().strip().splitlines()
     assert lines[0] == "threshold,precision,recall"
     assert len(lines) - 1 == 4 + 1  # distinct thresholds + the +inf row

@@ -721,6 +721,8 @@ def test_detect_one_predict_call_per_chunk(monkeypatch, frames_locate,
     ({"stride": -1}, "stride"),
     ({"window": 0}, "window"),
     ({"window": 2}, "window"),  # one step, but the model reads the last 2
+    ({"conf_thresh": float("nan")}, "conf-thresh"),
+    ({"iou_thresh": float("nan")}, "iou-thresh"),
 ])
 def test_detect_rejects_bad_window_arguments(kwargs, name):
     clip, _ = dataset.synth_stream(1, 40, blink_center=20)

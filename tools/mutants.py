@@ -186,6 +186,19 @@ MUTANTS = [
     ("train writes no model after a non-finite result", "cli",
      "    if not (np.all(np.isfinite(history))",
      "    if False and not (np.all(np.isfinite(history))", None),
+    ("a manifest source id is not repeated in its split", "dataset",
+     "        if prev == split:",
+     "        if False:", None),
+    ("a manifest source id is not empty", "dataset",
+     "        if not source_id:",
+     "        if False:", None),
+    ("the config hash leaves out where the outputs go", "cli",
+     "                          if k not in (\"func\", \"out\")}, "
+     "default=str,",
+     "                          if k != \"func\"}, default=str,", None),
+    ("detect rejects a non-finite threshold", "pipeline",
+     "        if not np.isfinite(value):",
+     "        if False:", None),
 ]
 
 

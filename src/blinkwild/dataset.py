@@ -181,13 +181,10 @@ def polish_clip(clip: Clip, target_len: int = DEFAULT_CLIP_LEN,
     else:
         closed = (n - 1) // 2
 
-    if n == target_len:
-        picks = list(range(n))
-    elif n < target_len:
-        head, tail = _alternation_plan(n, target_len, closed)
+    head, tail = _alternation_plan(n, target_len, closed)
+    if n < target_len:
         picks = [0] * head + list(range(n)) + [n - 1] * tail
     else:
-        head, tail = _alternation_plan(n, target_len, closed)
         picks = list(range(head, n - tail))
 
     frames = [clip.frames[i] for i in picks]
@@ -345,8 +342,9 @@ def load_manifest(path: str) -> Manifest:
     """Parse a manifest: ``clip_dir<TAB>label<TAB>split<TAB>source_id``.
 
     Clip paths are resolved relative to the manifest file. Every referenced
-    clip directory must exist, and each source_id is non-empty and names one
-    entry; a repeat in the other split is a SplitViolationError.
+    clip directory must exist, and each source_id is a plain file name (not
+    empty, ``.`` or ``..``, no path separator) and names one entry; a repeat
+    in the other split is a SplitViolationError.
     A malformed manifest raises a ManifestError naming the file.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -374,6 +372,10 @@ def load_manifest(path: str) -> Manifest:
             raise MissingAssetError(f"{path}:{lineno}: no clip at {resolved}")
         if not source_id:
             raise ManifestError(f"{path}:{lineno}: empty source id")
+        if source_id in (".", "..") or any(
+                sep in source_id for sep in (os.sep, os.altsep) if sep):
+            raise ManifestError(f"{path}:{lineno}: source id {source_id!r} "
+                                f"is not a plain file name")
         prev = seen.get(source_id)
         if prev == split:
             raise ManifestError(f"{path}:{lineno}: source {source_id!r} "

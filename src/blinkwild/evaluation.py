@@ -24,16 +24,16 @@ AP_OVERLAP = 0.5  # a detection matches a gt interval iff IoU >= 0.5
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    tp: int
+    fp: int
+    fn: int
 
 
 @dataclass(frozen=True)
 class LocalizationTally:
-    n_miss: int = 0
-    n_err: int = 0
-    n_all: int = 0
+    n_miss: int
+    n_err: int
+    n_all: int
 
 
 def confusion(pairs) -> ConfusionCounts:
@@ -117,14 +117,15 @@ def average_precision(events: list[BlinkEvent],
 
 def _pr_rows(scores) -> list[tuple[float, float, float]]:
     """PR sweep: one row per distinct confidence plus a row at +inf."""
-    positives = sum(1 for _, lbl in scores if lbl)
+    ranked = sorted(scores, key=lambda s: s[0], reverse=True)
+    positives = sum(1 for _, lbl in ranked if lbl)
     rows = [(float("inf"), 0.0, 0.0)]
-    for thr in sorted({c for c, _ in scores}, reverse=True):
-        tp = sum(1 for c, lbl in scores if c >= thr and lbl)
-        pred = sum(1 for c, _ in scores if c >= thr)
-        precision = tp / pred if pred else 0.0
-        recall = tp / positives if positives else 0.0
-        rows.append((thr, precision, recall))
+    tp = 0
+    for pred, (thr, lbl) in enumerate(ranked, start=1):
+        tp += bool(lbl)
+        if pred < len(ranked) and ranked[pred][0] == thr:
+            continue  # thr's row counts every score equal to it
+        rows.append((thr, tp / pred, tp / positives if positives else 0.0))
     return rows
 
 

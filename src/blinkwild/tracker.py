@@ -178,41 +178,8 @@ def _train(x_hat: np.ndarray, x_energy: np.ndarray, y_hat: np.ndarray,
     return y_hat / (np.fft.rfft2(k_xx) + LAMBDA)
 
 
-def _learn(frames, regions, window: np.ndarray, y_hat: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Template and dual-coefficient spectra learned at each region."""
-    template_hat, energy = _transform(frames, regions, window)
-    return template_hat, _train(template_hat, energy, y_hat, window.shape)
-
-
 def _unwrap(idx, n: int):
     return np.where(idx >= (n + 1) // 2, idx - n, idx)
-
-
-def _locate(template_hat: np.ndarray, alpha_hat: np.ndarray,
-            probe_hat: np.ndarray, probe_energy: np.ndarray,
-            shape: tuple[int, int]):
-    """Row, column shift and value of the peak of each row's response map
-    to its probe; circular shifts unwrap to [-N/2, N/2)."""
-    energy = probe_energy + _energy(template_hat, shape[1])
-    k_zx = _kernel(probe_hat, template_hat, energy, shape, SIGMA_K)
-    response = np.fft.irfft2(np.fft.rfft2(k_zx) * alpha_hat, s=shape)
-    flat = response.reshape(len(response), -1)
-    peak = flat.argmax(axis=1)
-    return (_unwrap(peak // shape[1], shape[0]),
-            _unwrap(peak % shape[1], shape[1]),
-            flat[np.arange(len(flat)), peak])
-
-
-def _blend(rate: float, template_hat: np.ndarray, alpha_hat: np.ndarray,
-           fresh_hat: np.ndarray, fresh_energy: np.ndarray,
-           y_hat: np.ndarray, shape: tuple[int, int]):
-    """Each row's model retrained on its fresh patch and blended in with
-    rate ``rate``. The blend runs on the spectra, which equals the spectrum
-    of the blended template."""
-    return ((1 - rate) * template_hat + rate * fresh_hat,
-            (1 - rate) * alpha_hat
-            + rate * _train(fresh_hat, fresh_energy, y_hat, shape))
 
 
 def track_size(frame: np.ndarray, region) -> tuple[int, int]:
@@ -245,8 +212,8 @@ def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
     """Learn one new row per key from its frame at its region, after the
     rows already there. Each region has the stack's padded size and its
     center inside its frame."""
-    template_hat, alpha_hat = _learn(frames, regions, stack.window,
-                                     stack.y_hat)
+    template_hat, energy = _transform(frames, regions, stack.window)
+    alpha_hat = _train(template_hat, energy, stack.y_hat, stack.window.shape)
     stack.template_hat = np.concatenate([stack.template_hat, template_hat])
     stack.alpha_hat = np.concatenate([stack.alpha_hat, alpha_hat])
     stack.regions = np.concatenate([stack.regions, np.array(regions)])
@@ -255,14 +222,22 @@ def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
 
 def stack_locate(stack: KcfStack, frames) -> Located:
     """Locate every row's target in its frame (one per row): the response
-    map is evaluated at the row's region and its argmax displacement moves
-    the region. The new center may lie outside the frame: a caller that
-    re-localizes moves it back, and the next crop there raises
-    TrackLostError. The stack is not changed."""
+    map is evaluated at the row's region and its peak, a circular shift
+    unwrapped to [-N/2, N/2), moves the region and is its score. The new
+    center may lie outside the frame: a caller that re-localizes moves it
+    back, and the next crop there raises TrackLostError. The stack is not
+    changed."""
+    shape = stack.window.shape
     probe_hat, probe_energy = _transform(frames, stack.regions.tolist(),
                                          stack.window)
-    dy, dx, scores = _locate(stack.template_hat, stack.alpha_hat, probe_hat,
-                             probe_energy, stack.window.shape)
+    energy = probe_energy + _energy(stack.template_hat, shape[1])
+    k_zx = _kernel(probe_hat, stack.template_hat, energy, shape, SIGMA_K)
+    response = np.fft.irfft2(np.fft.rfft2(k_zx) * stack.alpha_hat, s=shape)
+    flat = response.reshape(len(response), -1)
+    peak = flat.argmax(axis=1)
+    dy = _unwrap(peak // shape[1], shape[0])
+    dx = _unwrap(peak % shape[1], shape[1])
+    scores = flat[np.arange(len(flat)), peak]
     regions = stack.regions.copy()
     regions[:, 0] += dx
     regions[:, 1] += dy
@@ -274,9 +249,10 @@ def stack_adapt(stack: KcfStack, rows, frames, located: Located) -> None:
     """Keep only ``rows`` of the stack, in that order, each moved to the
     region ``located`` found for it in ``frames`` (one per row of the
     stack), retrained there and blended with its fresh model at rate
-    ``INTERP``; a row whose region did not move trains on its probe. Every
-    other row leaves the stack. Each kept region's center lies inside its
-    frame."""
+    ``INTERP``; a row whose region did not move trains on its probe. The
+    blend runs on the spectra, which equals the spectrum of the blended
+    template. Every other row leaves the stack. Each kept region's center
+    lies inside its frame."""
     regions = located.regions[rows]
     fresh_hat = located.probe_hat[rows]
     fresh_energy = located.probe_energy[rows]
@@ -285,9 +261,11 @@ def stack_adapt(stack: KcfStack, rows, frames, located: Located) -> None:
         fresh_hat[moved], fresh_energy[moved] = _transform(
             [frames[rows[i]] for i in moved], regions[moved].tolist(),
             stack.window)
-    stack.template_hat, stack.alpha_hat = _blend(
-        INTERP, stack.template_hat[rows], stack.alpha_hat[rows], fresh_hat,
-        fresh_energy, stack.y_hat, stack.window.shape)
+    stack.template_hat = ((1 - INTERP) * stack.template_hat[rows]
+                          + INTERP * fresh_hat)
+    stack.alpha_hat = ((1 - INTERP) * stack.alpha_hat[rows]
+                       + INTERP * _train(fresh_hat, fresh_energy, stack.y_hat,
+                                         stack.window.shape))
     stack.regions = regions
     stack.keys = [stack.keys[i] for i in rows]
 

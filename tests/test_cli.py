@@ -160,6 +160,20 @@ def test_bad_length_is_one_line_error_and_leaves_no_out(small_dataset,
     assert not out.exists()
 
 
+def test_polish_path_id_is_one_line_error_and_writes_nothing(
+        small_dataset, tmp_path, capsys):
+    entry = dataset.load_manifest(
+        str(small_dataset / "manifest.tsv")).entries[0]
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{entry.clip_dir}\t{entry.label}\t{entry.split}"
+                        f"\t../escaped\n")
+    out = tmp_path / "pol2"
+    assert run(["polish", "--manifest", manifest, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest}:1: ")
+    assert not out.exists() and not (tmp_path / "escaped").exists()
+
+
 def test_polish_idempotent(small_dataset, tmp_path):
     assert run(["polish", "--manifest", small_dataset / "manifest.tsv",
                 "--out", tmp_path / "p1"]) == 0

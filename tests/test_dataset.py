@@ -42,6 +42,10 @@ def test_manifest_split_violation(tmp_path):
 @pytest.mark.parametrize("second_id,second_split", [
     ("same", "train"),  # an id repeated within its split
     ("", "test"),  # an empty id
+    ("../escaped", "test"),  # ids name output directories: no separator
+    ("a/b", "test"),
+    (".", "test"),
+    ("..", "test"),
 ])
 def test_manifest_source_id_unique_and_non_empty(tmp_path, second_id,
                                                  second_split):

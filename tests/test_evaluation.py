@@ -240,3 +240,8 @@ def test_pr_curve_row_count(tmp_path):
     lines = Path(path + "_pr.csv").read_text().strip().splitlines()
     assert lines[0] == "threshold,precision,recall"
     assert len(lines) - 1 == 4 + 1  # distinct thresholds + the +inf row
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    # threshold, precision, recall: 3 positives; a threshold counts every
+    # score at or above it
+    assert rows == [(float("inf"), 0.0, 0.0), (0.9, 1.0, 1 / 3),
+                    (0.8, 2 / 3, 2 / 3), (0.4, 0.5, 2 / 3), (0.2, 0.6, 1.0)]

@@ -140,6 +140,24 @@ def test_center_outside_frame_is_lost(rng):
         tracker.kcf_update(state, frame)
 
 
+@pytest.mark.parametrize("cx,cy,inside", [
+    (0.0, 9.0, True), (9.0, 0.0, True), (29.0, 9.0, True), (9.0, 19.0, True),
+    (-0.5, 9.0, False), (9.0, -0.5, False), (30.0, 9.0, False),
+    (9.0, 20.0, False),
+])
+def test_in_frame_boundaries(cx, cy, inside):
+    """A center lies inside a 20x30 frame iff 0 <= x < 30 and 0 <= y < 20;
+    ``track_size`` starts a track exactly there."""
+    frame = np.zeros((20, 30), dtype=np.uint8)
+    region = (cx, cy, 4.0, 4.0)
+    assert tracker.in_frame(frame, region) == inside
+    if inside:
+        assert tracker.track_size(frame, region) == (10, 10)
+    else:
+        with pytest.raises(TrackLostError):
+            tracker.track_size(frame, region)
+
+
 def test_integer_shift_recovery_50_frames(rng):
     base = smooth_image(rng, (128, 128))
     cx, cy = 64.0, 64.0

@@ -1,6 +1,7 @@
 """Mutation probe: does some test fail when a rule of the program is broken?
 
-Each mutant below replaces one line of ``src/blinkwild``. The probe copies
+Each mutant below replaces one line of ``src/blinkwild``, or a run of
+consecutive lines given joined by newlines. The probe copies
 the checkout once, into a temporary ``base``, so one run tests one tree even
 if the checkout is edited meanwhile. For each mutant it copies ``base``,
 applies the mutant in the copy, runs the test files that cover the mutated
@@ -44,7 +45,8 @@ COVERS = {
                 "tests/test_golden.py", "tests/test_acceptance.py"],
 }
 
-# (name, module, line as in the source, mutated line, equivalence reason)
+# (name, module, line(s) as in the source, mutated line(s), equivalence
+# reason)
 MUTANTS = [
     ("energy Nyquist column", "tracker",
      "        twice -= power[..., -1].sum(axis=-1)",
@@ -199,6 +201,41 @@ MUTANTS = [
     ("detect rejects a non-finite threshold", "pipeline",
      "        if not np.isfinite(value):",
      "        if False:", None),
+    ("a manifest source id is a plain file name", "dataset",
+     "        if source_id in (\".\", \"..\") or any(",
+     "        if False and any(", None),
+    ("the PR sweep counts each positive once", "evaluation",
+     "    positives = sum(1 for _, lbl in ranked if lbl)",
+     "    positives = sum(2 for _, lbl in ranked if lbl)", None),
+    ("the PR sweep has one row per distinct threshold", "evaluation",
+     "        if pred < len(ranked) and ranked[pred][0] == thr:",
+     "        if False:", None),
+    ("a center at x = 0 is inside the frame", "tracker",
+     "    return 0 <= region[0] < frame.shape[1] and 0 <= region[1] < "
+     "frame.shape[0]",
+     "    return 0 < region[0] < frame.shape[1] and 0 <= region[1] < "
+     "frame.shape[0]", None),
+    ("a center at y = 0 is inside the frame", "tracker",
+     "    return 0 <= region[0] < frame.shape[1] and 0 <= region[1] < "
+     "frame.shape[0]",
+     "    return 0 <= region[0] < frame.shape[1] and 0 < region[1] < "
+     "frame.shape[0]", None),
+    ("the blend keeps 1 - INTERP of the model", "tracker",
+     "    stack.template_hat = ((1 - INTERP) * stack.template_hat[rows]\n"
+     "                          + INTERP * fresh_hat)\n"
+     "    stack.alpha_hat = ((1 - INTERP) * stack.alpha_hat[rows]\n"
+     "                       + INTERP * _train(fresh_hat, fresh_energy, "
+     "stack.y_hat,",
+     "    stack.template_hat = (INTERP * stack.template_hat[rows]\n"
+     "                          + (1 - INTERP) * fresh_hat)\n"
+     "    stack.alpha_hat = (INTERP * stack.alpha_hat[rows]\n"
+     "                       + (1 - INTERP) * _train(fresh_hat, "
+     "fresh_energy, stack.y_hat,", None),
+    ("the response peak's column moves x, its row y", "tracker",
+     "    regions[:, 0] += dx\n"
+     "    regions[:, 1] += dy",
+     "    regions[:, 0] += dy\n"
+     "    regions[:, 1] += dx", None),
 ]
 
 
@@ -216,11 +253,12 @@ def _mutate(tree: str, module: str, old: str, new: str) -> None:
     path = os.path.join(tree, "src", "blinkwild", module + ".py")
     with open(path) as f:
         lines = f.read().split("\n")
-    hits = [i for i, line in enumerate(lines) if line == old]
+    run = old.split("\n")
+    hits = [i for i in range(len(lines)) if lines[i:i + len(run)] == run]
     if len(hits) != 1:
-        raise SystemExit(f"{module}.py: {len(hits)} lines read {old!r}; "
+        raise SystemExit(f"{module}.py: {len(hits)} places read {old!r}; "
                          f"a mutant must match exactly one")
-    lines[hits[0]] = new
+    lines[hits[0]:hits[0] + len(run)] = new.split("\n")
     with open(path, "w") as f:
         f.write("\n".join(lines))
 

@@ -42,8 +42,7 @@ def main():
     # clips longer or shorter than 10 frames are polished to a fixed length
     long_clip = dataset.synth_clip(seed=7, label=dataset.LABEL_BLINK,
                                    length=16)
-    closed = int(np.argmin(eye_means(long_clip)))
-    polished = dataset.polish_clip(long_clip, 10, closed)
+    polished = dataset.polish_clip(long_clip, 10)
     print(f"\npolished 16-frame clip down to {len(polished)} frames; "
           f"closed frame steered to index "
           f"{int(np.argmin(eye_means(polished)))}")

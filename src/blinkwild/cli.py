@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import dataset, evaluation, features, mslstm, pipeline
-from .errors import BlinkwildError, PredictionsError
+from .errors import BlinkwildError, InvalidDatasetError, PredictionsError
 
 EYES = pipeline.EYES
 PREDICTION_COLUMNS = ("clip", "eye", "label", "confidence", "lost")
@@ -41,20 +41,6 @@ def _config_hash(args: argparse.Namespace) -> str:
                           if k not in ("func", "out")}, default=str,
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _closed_frame_index(clip: dataset.Clip) -> int:
-    """Fully-closed frame estimate: minimal mean intensity in the eye crops."""
-    means = []
-    for frame, rec in zip(clip.frames, clip.annotations):
-        vals = []
-        for eye in EYES:
-            region = dataset.eye_box(rec, eye)
-            if region is not None:
-                vals.append(float(dataset.crop_eye(
-                    frame, dataset.EyeCenter(*region[:2]), region[2:]).mean()))
-        means.append(np.mean(vals) if vals else np.inf)
-    return int(np.argmin(means))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +86,8 @@ def cmd_polish(args) -> int:
         for entry in manifest.entries:
             clip = dataset.load_clip(entry.clip_dir, entry.label,
                                      entry.source_id)
-            closed = (_closed_frame_index(clip)
-                      if entry.label == dataset.LABEL_BLINK else None)
             yield entry.split, entry.source_id, dataset.polish_clip(
-                clip, args.target_len, closed)
+                clip, args.target_len)
 
     _write_dataset(args.out, polished())
     print(f"polished {len(manifest.entries)} clips to {args.target_len} "
@@ -111,11 +95,17 @@ def cmd_polish(args) -> int:
     return 0
 
 
-def _load_split_features(manifest: dataset.Manifest, split: str):
-    """(sequence, label) per eye annotated as visible in every frame."""
-    samples = []
-    for entry in manifest.split(split):
+def _load_split_features(path: str, split: str):
+    """(sequence, label) per eye annotated as visible in every frame of the
+    ``split`` clips of the manifest at ``path``; the clips share a length."""
+    samples, length = [], None
+    for entry in dataset.load_manifest(path).split(split):
         clip = dataset.load_clip(entry.clip_dir, entry.label, entry.source_id)
+        length = length or len(clip)
+        if len(clip) != length:
+            raise InvalidDatasetError(
+                f"{path}: {split} clip {entry.source_id!r} has {len(clip)} "
+                f"frames, the first has {length}; run polish first")
         label = (mslstm.CLASS_BLINK if entry.label == dataset.LABEL_BLINK
                  else mslstm.CLASS_NONBLINK)
         for eye in EYES:
@@ -127,8 +117,7 @@ def _load_split_features(manifest: dataset.Manifest, split: str):
 
 
 def cmd_train(args) -> int:
-    manifest = dataset.load_manifest(args.manifest)
-    train_set = _load_split_features(manifest, "train")
+    train_set = _load_split_features(args.manifest, "train")
     model = mslstm.init_model(hidden=args.hidden, layers=args.layers,
                               scales=args.scales, margin=args.margin,
                               seed=args.seed)

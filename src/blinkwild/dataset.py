@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class EyeCenter:
 
 @dataclass(frozen=True)
 class AnnotationRecord:
-    frame_index: int
+    """One frame's annotation; the frame is the record's position."""
     face_box: tuple[float, float, float, float]  # x, y, w, h
     left_eye: EyeCenter
     right_eye: EyeCenter
@@ -161,25 +161,35 @@ def _alternation_plan(n: int, target: int, closed: int) -> tuple[int, int]:
     return tail_first
 
 
+def _closed_frame_index(clip: Clip) -> int:
+    """Fully-closed frame estimate: minimal mean intensity in the eye crops."""
+    means = []
+    for frame, rec in zip(clip.frames, clip.annotations):
+        vals = [float(crop_eye(frame, EyeCenter(*box[:2]), box[2:]).mean())
+                for box in (eye_box(rec, "left"), eye_box(rec, "right"))
+                if box is not None]
+        means.append(np.mean(vals) if vals else np.inf)
+    return int(np.argmin(means))
+
+
 def polish_clip(clip: Clip, target_len: int = DEFAULT_CLIP_LEN,
                 closed_index: int | None = None) -> Clip:
     """Fix the clip to ``target_len`` frames.
 
     Short clips duplicate the first/last frame alternately; long clips drop
-    frames from the two ends alternately. For blink clips ``closed_index``
-    (the fully-closed frame) is steered toward the middle of the output;
+    frames from the two ends alternately. For blink clips the fully-closed
+    frame, ``closed_index`` or else the darkest-eye frame
+    (`_closed_frame_index`), is steered toward the middle of the output;
     non-blink clips are center-aligned with no closed-frame constraint.
-    Output annotations are renumbered 0..target_len-1.
     """
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
     n = len(clip)
-    if clip.label == LABEL_BLINK and closed_index is not None:
-        if not 0 <= closed_index < n:
-            raise ValueError("closed_index outside clip")
-        closed = closed_index
-    else:
-        closed = (n - 1) // 2
+    closed = closed_index if clip.label == LABEL_BLINK else (n - 1) // 2
+    if closed is None:
+        closed = _closed_frame_index(clip)
+    if not 0 <= closed < n:
+        raise ValueError("closed_index outside clip")
 
     head, tail = _alternation_plan(n, target_len, closed)
     if n < target_len:
@@ -187,11 +197,9 @@ def polish_clip(clip: Clip, target_len: int = DEFAULT_CLIP_LEN,
     else:
         picks = list(range(head, n - tail))
 
-    frames = [clip.frames[i] for i in picks]
-    anns = [replace(clip.annotations[i], frame_index=j)
-            for j, i in enumerate(picks)]
-    return Clip(frames=frames, annotations=anns, label=clip.label,
-                source_id=clip.source_id)
+    return Clip(frames=[clip.frames[i] for i in picks],
+                annotations=[clip.annotations[i] for i in picks],
+                label=clip.label, source_id=clip.source_id)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +292,7 @@ def load_annotations(path: str) -> list[AnnotationRecord]:
                                   f"{len(records)}")
         fx, fy, fw, fh, lx, ly, rx, ry = values
         records.append(AnnotationRecord(
-            frame_index=frame, face_box=(fx, fy, fw, fh),
-            left_eye=_eye_from_fields(lx, ly),
+            face_box=(fx, fy, fw, fh), left_eye=_eye_from_fields(lx, ly),
             right_eye=_eye_from_fields(rx, ry)))
     if not records:
         raise AnnotationError(f"{path}: no annotation rows")
@@ -296,10 +303,10 @@ def save_annotations(path: str, records: list[AnnotationRecord]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(ANNOTATION_HEADER)
-        for r in records:
+        for i, r in enumerate(records):
             le = (r.left_eye.x, r.left_eye.y) if r.left_eye.visible else (-1, -1)
             re_ = (r.right_eye.x, r.right_eye.y) if r.right_eye.visible else (-1, -1)
-            writer.writerow([r.frame_index,
+            writer.writerow([i,
                              *(repr(float(v)) for v in r.face_box),
                              *(repr(float(v)) for v in (*le, *re_))])
 
@@ -317,14 +324,20 @@ def _validate_record(rec: AnnotationRecord, shape: tuple[int, int],
 
 
 def load_clip(clip_dir: str, label: str, source_id: str = "") -> Clip:
-    anns = load_annotations(os.path.join(clip_dir, "annotations.csv"))
+    """Record i annotates ``frame_{i:04d}.pgm``; frames share one size."""
+    ann_path = os.path.join(clip_dir, "annotations.csv")
+    anns = load_annotations(ann_path)
     frames = []
-    for rec in anns:
-        path = os.path.join(clip_dir, f"frame_{rec.frame_index:04d}.pgm")
+    for i, rec in enumerate(anns):
+        path = os.path.join(clip_dir, f"frame_{i:04d}.pgm")
         if not os.path.exists(path):
             raise MissingAssetError(f"missing frame file {path}")
         frame = read_pgm(path)
-        _validate_record(rec, frame.shape, f"{clip_dir}#{rec.frame_index}")
+        if frames and frame.shape != frames[0].shape:
+            raise FrameFormatError(
+                f"{path}: frame size {frame.shape[1]}x{frame.shape[0]}, but "
+                f"frame 0 is {frames[0].shape[1]}x{frames[0].shape[0]}")
+        _validate_record(rec, frame.shape, f"{ann_path}: frame {i}")
         frames.append(frame)
     return Clip(frames=frames, annotations=anns, label=label,
                 source_id=source_id or os.path.basename(clip_dir))
@@ -506,8 +519,7 @@ def _synth_frames(seed: int, label: str, length: int,
                                     brightness, rng))
         face = (cx - face_w / 2 + ox, cy - face_h / 2 + oy, face_w, face_h)
         anns.append(AnnotationRecord(
-            frame_index=i, face_box=face,
-            left_eye=EyeCenter(left[0], left[1]),
+            face_box=face, left_eye=EyeCenter(left[0], left[1]),
             right_eye=EyeCenter(right[0], right[1])))
     return Clip(frames=frames, annotations=anns, label=label,
                 source_id=f"synth-{label}-{seed}")

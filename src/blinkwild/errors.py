@@ -50,4 +50,4 @@ class DegenerateGeometryError(BlinkwildError):
 
 
 class InvalidDatasetError(BlinkwildError):
-    """A training set does not contain both classes."""
+    """A training set is empty, lacks a class, or mixes clip lengths."""

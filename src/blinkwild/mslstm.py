@@ -3,11 +3,11 @@
 L LSTM layers run over the per-step feature sequence; the classifier
 consumes the concatenation of the top layer's last T hidden states. The
 head holds one unit-norm weight vector per class and no bias, so class
-scores are r*cos(theta_c) with r the feature norm. Training minimizes
-either plain cross-entropy on those scores or the angular-margin variant
-that replaces cos(theta_y) of the true class with the monotone extension
-psi(theta_y) = (-1)^k cos(m theta_y) - 2k. Everything (forward, BPTT,
-ADAM) is plain numpy in float64.
+scores are r*cos(theta_c) with r the feature norm. Training minimizes the
+angular-margin cross-entropy that replaces cos(theta_y) of the true class
+with the monotone extension psi(theta_y) = (-1)^k cos(m theta_y) - 2k;
+plain softmax is the same loss at m = 1. Everything (forward, BPTT, ADAM)
+is plain numpy in float64.
 """
 
 from __future__ import annotations
@@ -321,33 +321,30 @@ def softmax_loss(logits: np.ndarray, label):
 
 def _head_loss_and_grads(model: MsLstmModel, feats: np.ndarray,
                          labels: np.ndarray, loss_kind: str):
-    """Mean loss over the batch plus gradients w.r.t. feats and head."""
+    """Mean loss over the batch plus gradients w.r.t. feats and head; the
+    ``softmax`` loss is the ``asoftmax`` head at m = 1."""
+    margin = {"softmax": 1, "asoftmax": model.margin}.get(loss_kind)
+    if margin is None:
+        raise ValueError(f"unknown loss {loss_kind!r}")
     b = feats.shape[0]
     w = model.head
-    if loss_kind == "softmax":
-        loss, dl = softmax_loss(feats @ w.T, labels)
-        dfeat = dl @ w
-        dhead = dl.T @ feats
-    elif loss_kind == "asoftmax":
-        r = np.linalg.norm(feats, axis=1)
-        # a zero feature has no angle: it adds no loss and no gradient
-        live = np.flatnonzero(~(r < 1e-300))
-        x, r, y = feats[live], r[live], labels[live].astype(int)
-        rows = np.arange(live.size)
-        cos = x @ w.T / r[:, None]
-        loss, (d_r, d_cy, d_co) = asoftmax_loss(
-            r, cos[rows, y], cos[rows, 1 - y], model.margin)
-        # dL/dcos per class; dcos_c/dx = (w_c - cos_c x/r) / r
-        dcos = np.empty_like(cos)
-        dcos[rows, y] = d_cy
-        dcos[rows, 1 - y] = d_co
-        u = x / r[:, None]
-        dfeat = np.zeros_like(feats)
-        dfeat[live] = ((d_r - np.sum(dcos * cos, axis=1) / r)[:, None] * u
-                       + dcos @ w / r[:, None])
-        dhead = dcos.T @ u
-    else:
-        raise ValueError(f"unknown loss {loss_kind!r}")
+    r = np.linalg.norm(feats, axis=1)
+    # a zero feature has no angle: it adds no loss and no gradient
+    live = np.flatnonzero(~(r < 1e-300))
+    x, r, y = feats[live], r[live], labels[live].astype(int)
+    rows = np.arange(live.size)
+    cos = x @ w.T / r[:, None]
+    loss, (d_r, d_cy, d_co) = asoftmax_loss(
+        r, cos[rows, y], cos[rows, 1 - y], margin)
+    # dL/dcos per class; dcos_c/dx = (w_c - cos_c x/r) / r
+    dcos = np.empty_like(cos)
+    dcos[rows, y] = d_cy
+    dcos[rows, 1 - y] = d_co
+    u = x / r[:, None]
+    dfeat = np.zeros_like(feats)
+    dfeat[live] = ((d_r - np.sum(dcos * cos, axis=1) / r)[:, None] * u
+                   + dcos @ w / r[:, None])
+    dhead = dcos.T @ u
     return float(np.sum(loss)) / b, dfeat / b, dhead / b
 
 

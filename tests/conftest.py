@@ -4,11 +4,11 @@ import pytest
 from blinkwild import dataset, mslstm
 
 
-def make_annotation(i, face=(5, 5, 30, 30), left=(12, 20), right=(27, 20)):
+def make_annotation(face=(5, 5, 30, 30), left=(12, 20), right=(27, 20)):
     lx, ly = left
     rx, ry = right
     return dataset.AnnotationRecord(
-        frame_index=i, face_box=face,
+        face_box=face,
         left_eye=(dataset.EyeCenter(lx, ly) if lx >= 0
                   else dataset.EyeCenter.invisible()),
         right_eye=(dataset.EyeCenter(rx, ry) if rx >= 0
@@ -18,7 +18,7 @@ def make_annotation(i, face=(5, 5, 30, 30), left=(12, 20), right=(27, 20)):
 def tagged_clip(n, label=dataset.LABEL_BLINK):
     """Clip whose frame i is the constant image i, so picks are traceable."""
     frames = [np.full((40, 40), i, dtype=np.uint8) for i in range(n)]
-    anns = [make_annotation(i) for i in range(n)]
+    anns = [make_annotation() for _ in range(n)]
     return dataset.Clip(frames=frames, annotations=anns, label=label,
                         source_id=f"tag{n}")
 

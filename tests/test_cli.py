@@ -5,6 +5,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -182,22 +183,6 @@ def test_polish_idempotent(small_dataset, tmp_path):
     assert _same_tree(str(tmp_path / "p1"), str(tmp_path / "p2"))
 
 
-@pytest.mark.parametrize("length", [10, 13, 16])
-def test_closed_frame_index_is_minimum_aperture(length):
-    # synth_clip closes a blink clip's eyes fully at its middle frame
-    hidden = dataset.EyeCenter.invisible()
-    for seed in range(4):
-        clip = dataset.synth_clip(seed, dataset.LABEL_BLINK, length)
-        assert cli._closed_frame_index(clip) == length // 2
-        # one eye invisible in most frames, the middle one among them
-        # for lengths 10 and 13
-        clip.annotations = [
-            dataclasses.replace(rec, left_eye=hidden) if t % 2
-            else dataclasses.replace(rec, right_eye=hidden) if t % 3 == 0
-            else rec for t, rec in enumerate(clip.annotations)]
-        assert cli._closed_frame_index(clip) == length // 2
-
-
 def test_train_outputs(small_dataset, small_model, tmp_path):
     loss_csv = str(small_model).replace(".bin", "_loss.csv")
     with open(loss_csv) as f:
@@ -287,6 +272,103 @@ def test_verify_repeated_source_id_is_one_line_error(small_dataset,
     assert not (out / "predictions.csv").exists()
 
 
+def _edit_record(clip_dir, t, edit):
+    """Replace record ``t`` of the clip in ``clip_dir`` by ``edit`` of it;
+    returns the annotation file's path."""
+    path = os.path.join(clip_dir, "annotations.csv")
+    records = dataset.load_annotations(path)
+    records[t] = edit(records[t])
+    dataset.save_annotations(path, records)
+    return path
+
+
+def _widen_first_frames(clip_dir, count=5, width=200):
+    """Widen frames 0..count-1 to ``width`` columns, padding on the right,
+    so that each frame's own record stays valid; returns the path of the
+    first frame left at the old width."""
+    for t in range(count):
+        path = os.path.join(clip_dir, f"frame_{t:04d}.pgm")
+        frame = dataset.read_pgm(path)
+        dataset.write_pgm(path, np.pad(
+            frame, ((0, 0), (0, width - frame.shape[1])), mode="edge"))
+    return os.path.join(clip_dir, f"frame_{count:04d}.pgm")
+
+
+def _remove_frame(clip_dir, t=3):
+    path = os.path.join(clip_dir, f"frame_{t:04d}.pgm")
+    os.remove(path)
+    return path
+
+
+# how -> (break a saved 10-frame 112x112 synthetic clip in place and return
+# the file the error must name, what the error must say)
+BROKEN_CLIPS = {
+    "degenerate-face-box": (lambda d: _edit_record(d, 2, lambda r: (
+        dataclasses.replace(r, face_box=r.face_box[:2] + (0.0,)
+                            + r.face_box[3:]))),
+        "frame 2: degenerate face box"),
+    "face-box-outside-frame": (lambda d: _edit_record(d, 2, lambda r: (
+        dataclasses.replace(r, face_box=r.face_box[:2] + (200.0,)
+                            + r.face_box[3:]))),
+        "frame 2: face box outside frame"),
+    "eye-outside-face-box": (lambda d: _edit_record(d, 2, lambda r: (
+        dataclasses.replace(r, left_eye=dataset.EyeCenter(
+            r.face_box[0] - 1.0, r.left_eye.y)))),
+        "frame 2: left eye outside face box"),
+    "missing-frame-file": (_remove_frame, "missing frame file"),
+    "frame-size-changes": (_widen_first_frames,
+                           "frame size 112x112, but frame 0 is 200x112"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN_CLIPS))
+@pytest.mark.parametrize("command", ["verify", "detect"])
+def test_broken_clip_is_one_line_error_naming_the_file(
+        small_dataset, small_model, tmp_path, capsys, command, how):
+    entries = dataset.load_manifest(
+        str(small_dataset / "manifest.tsv")).split("test")
+    clip_dir = str(tmp_path / "broken")
+    shutil.copytree(entries[0].clip_dir, clip_dir)
+    break_clip, says = BROKEN_CLIPS[how]
+    path = break_clip(clip_dir)
+    if command == "verify":
+        manifest = tmp_path / "broken.tsv"
+        dataset.write_manifest(str(manifest), [dataclasses.replace(
+            entries[0], clip_dir=clip_dir)] + entries[1:])
+        written = tmp_path / "v" / "predictions.csv"
+        argv = ["verify", "--manifest", manifest, "--model", small_model,
+                "--out", tmp_path / "v"]
+    else:
+        written = tmp_path / "events.csv"
+        argv = ["detect", "--frames", clip_dir, "--model", small_model,
+                "--out", written]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert path in err[0] and says in err[0]
+    assert not written.exists()
+
+
+def test_train_on_clips_of_unequal_length_is_one_line_error(
+        small_dataset, tmp_path, capsys):
+    entries = dataset.load_manifest(
+        str(small_dataset / "manifest.tsv")).split("train")
+    third = entries[2]
+    long_dir = str(tmp_path / "long")
+    dataset.save_clip(long_dir, dataset.polish_clip(dataset.load_clip(
+        third.clip_dir, third.label, third.source_id), 13))
+    manifest = tmp_path / "mixed.tsv"
+    dataset.write_manifest(str(manifest), entries[:2] + [
+        dataclasses.replace(third, clip_dir=long_dir)] + entries[3:])
+    model = tmp_path / "m.bin"
+    assert run(["train", "--manifest", manifest, "--model", model,
+                "--steps", 2, "--batch-size", 4, "--hidden", 4]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {manifest}: ")
+    assert repr(third.source_id) in err[0] and "polish" in err[0]
+    assert not model.exists()
+
+
 def test_detect_writes_events(small_model, tmp_path):
     clip, gt = dataset.synth_stream(12, 50, blink_center=25)
     stream_dir = str(tmp_path / "stream")
@@ -364,8 +446,7 @@ def test_verify_fr_counts_a_kept_box_off_its_annotation(small_model,
         right_eye=dataset.EyeCenter(first.right_eye.x + 20,
                                     first.right_eye.y))
     clip.frames = [clip.frames[0]] * len(clip.frames)
-    clip.annotations = [first] + [dataclasses.replace(moved, frame_index=t)
-                                  for t in range(1, len(clip.frames))]
+    clip.annotations = [first] + [moved] * (len(clip.frames) - 1)
     clip_dir = str(tmp_path / "moved")
     dataset.save_clip(clip_dir, clip)
     manifest = tmp_path / "moved.tsv"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -153,8 +154,34 @@ def test_polish_default_length_is_10():
 def test_polish_annotations_renumbered_in_lockstep():
     clip = tagged_clip(6)
     out = dataset.polish_clip(clip, 10, 3)
-    assert [a.frame_index for a in out.annotations] == list(range(10))
     assert len(out.annotations) == len(out.frames)
+
+
+@pytest.mark.parametrize("length", [10, 13, 16])
+def test_closed_frame_index_is_minimum_aperture(length):
+    # synth_clip closes a blink clip's eyes fully at its middle frame
+    hidden = dataset.EyeCenter.invisible()
+    for seed in range(4):
+        clip = dataset.synth_clip(seed, dataset.LABEL_BLINK, length)
+        assert dataset._closed_frame_index(clip) == length // 2
+        # one eye invisible in most frames, the middle one among them
+        # for lengths 10 and 13
+        clip.annotations = [
+            dataclasses.replace(rec, left_eye=hidden) if t % 2
+            else dataclasses.replace(rec, right_eye=hidden) if t % 3 == 0
+            else rec for t, rec in enumerate(clip.annotations)]
+        assert dataset._closed_frame_index(clip) == length // 2
+
+
+def test_polish_steers_the_darkest_frame_of_a_blink_clip():
+    """Without ``closed_index`` a blink clip steers its darkest-eye frame,
+    here its last, toward the middle; a non-blink clip its middle frame."""
+    clip = tagged_clip(15)
+    clip.frames.reverse()  # frame t is the constant image 14 - t
+    assert dataset._closed_frame_index(clip) == 14
+    assert frame_tags(dataset.polish_clip(clip, 10)) == list(range(11, 1, -1))
+    clip.label = dataset.LABEL_NONBLINK
+    assert frame_tags(dataset.polish_clip(clip, 10)) == list(range(12, 2, -1))
 
 
 def test_polish_errors():
@@ -321,6 +348,41 @@ def test_synth_annotations_are_loadable(tmp_path):
     assert back.annotations == clip.annotations
 
 
+def test_reordered_clip_saves_and_loads_back(tmp_path):
+    """A record's frame number is its position: a clip whose frames and
+    records were reversed together saves and loads back equal."""
+    clip = dataset.synth_clip(3, dataset.LABEL_BLINK, 10)
+    clip.frames.reverse()
+    clip.annotations.reverse()
+    clip_dir = str(tmp_path / "c")
+    dataset.save_clip(clip_dir, clip)
+    back = dataset.load_clip(clip_dir, clip.label, clip.source_id)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(back.frames, clip.frames))
+    assert back.annotations == clip.annotations
+
+
+def test_load_clip_missing_frame_file_names_it(tmp_path):
+    clip_dir = tmp_path / "c"
+    dataset.save_clip(str(clip_dir), tagged_clip(4))
+    os.remove(clip_dir / "frame_0002.pgm")
+    with pytest.raises(MissingAssetError,
+                       match=f"missing frame file {clip_dir}/frame_0002.pgm"):
+        dataset.load_clip(str(clip_dir), dataset.LABEL_BLINK)
+
+
+def test_clip_needs_one_record_per_frame():
+    clip = tagged_clip(3)
+    with pytest.raises(ValueError, match="equal length"):
+        dataset.Clip(frames=clip.frames, annotations=clip.annotations[:2],
+                      label=clip.label)
+
+
+def test_clip_needs_a_frame():
+    with pytest.raises(ValueError, match="at least one frame"):
+        dataset.Clip(frames=[], annotations=[], label=dataset.LABEL_BLINK)
+
+
 def reference_clean_frame(layout, centers, aperture, brightness):
     """The noise-free frame with each eye's masks over every pixel."""
     h, w = layout.frame_h, layout.frame_w
@@ -432,9 +494,9 @@ def test_pgm_round_trip(tmp_path, rng):
 
 
 def test_annotations_round_trip(tmp_path):
-    records = [make_annotation(0),
-               make_annotation(1, left=(-1, -1)),
-               make_annotation(2, right=(-1, -1))]
+    records = [make_annotation(),
+               make_annotation(left=(-1, -1)),
+               make_annotation(right=(-1, -1))]
     path = str(tmp_path / "annotations.csv")
     dataset.save_annotations(path, records)
     assert dataset.load_annotations(path) == records
@@ -454,6 +516,15 @@ def test_pgm_errors_name_the_file(tmp_path, data, says):
     with pytest.raises(FrameFormatError) as exc:
         dataset.read_pgm(str(path))
     assert str(exc.value).startswith(f"{path}: ") and says in str(exc.value)
+
+
+@pytest.mark.parametrize("header", [b"P5\n# by hand\n7 5\n255\n",
+                                    b"P5 7\n#a\n#b\n 5 255\n"])
+def test_read_pgm_skips_header_comments(tmp_path, header):
+    frame = np.arange(35, dtype=np.uint8).reshape(5, 7)
+    path = tmp_path / "f.pgm"
+    path.write_bytes(header + frame.tobytes())
+    assert np.array_equal(dataset.read_pgm(str(path)), frame)
 
 
 _ROW = "0,5.0,5.0,30.0,30.0,12.0,20.0,27.0,20.0"
@@ -496,8 +567,8 @@ def test_read_pgm_fuzz_reads_or_names_path(tmp_path_factory, corruption):
 def test_load_annotations_fuzz_loads_or_names_path(tmp_path_factory,
                                                    corruption):
     path = tmp_path_factory.mktemp("fuzz") / "annotations.csv"
-    dataset.save_annotations(str(path), [make_annotation(0),
-                                         make_annotation(1, left=(-1, -1))])
+    dataset.save_annotations(str(path), [make_annotation(),
+                                         make_annotation(left=(-1, -1))])
     corrupt(path, corruption)
     try:
         records = dataset.load_annotations(str(path))

@@ -85,8 +85,8 @@ def test_me_failure_case():
 
 
 def test_localized_counts_only_frames_with_both_eyes():
-    both = make_annotation(0, left=(0, 0), right=(5, 5))
-    one = make_annotation(1, left=(-1, -1), right=(5, 5))
+    both = make_annotation(left=(0, 0), right=(5, 5))
+    one = make_annotation(left=(-1, -1), right=(5, 5))
     # ME exactly ME_THRESHOLD is correct (4 / 10 == 0.4 in floats)
     assert evaluation.localized([(7, 7, 4, 4)], [both], "right")
     assert not evaluation.localized([(8, 8, 4, 4)], [both], "right")

@@ -385,8 +385,9 @@ def reference_asoftmax_head(model, feats, labels):
     return total / b, dfeat / b, dhead / b
 
 
-def test_asoftmax_head_matches_per_sample_reference(rng):
-    model = tiny_model(hidden=3, scales=2, margin=4)
+@pytest.mark.parametrize("margin", [1, 4])
+def test_asoftmax_head_matches_per_sample_reference(margin, rng):
+    model = tiny_model(hidden=3, scales=2, margin=margin)
     feats = rng.normal(size=(9, 6))
     feats[4] = 0.0
     labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
@@ -398,13 +399,25 @@ def test_asoftmax_head_matches_per_sample_reference(rng):
         assert np.max(np.abs(g - r)) < 1e-12
     assert np.all(got[1][4] == 0.0)
     # the zero row still counts in the mean
-    loss_rest, _, _ = mslstm._head_loss_and_grads(
+    loss_rest, _, dhead_rest = mslstm._head_loss_and_grads(
         model, np.delete(feats, 4, axis=0), np.delete(labels, 4), "asoftmax")
     assert np.isclose(got[0], loss_rest * 8 / 9, rtol=1e-12)
+    assert np.allclose(got[2], dhead_rest * 8 / 9, rtol=1e-12, atol=0)
+    # softmax is this head at m = 1, zero row included
+    if margin == 1:
+        soft = mslstm._head_loss_and_grads(model, feats, labels, "softmax")
+        assert soft[0] == got[0]
+        assert all(np.array_equal(a, b) for a, b in zip(soft[1:], got[1:]))
+
+
+def test_head_rejects_an_unknown_loss(rng):
+    with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+        mslstm._head_loss_and_grads(tiny_model(), rng.normal(size=(2, 6)),
+                                    np.array([0, 1]), "hinge")
 
 
 def reference_softmax_head(model, feats, labels):
-    """The per-sample loop the vectorized softmax head replaced."""
+    """Per-sample softmax cross-entropy on the logits x @ w.T."""
     b = feats.shape[0]
     w = model.head
     dfeat = np.zeros_like(feats)
@@ -422,7 +435,6 @@ def reference_softmax_head(model, feats, labels):
 def test_softmax_head_matches_per_sample_reference(rng):
     model = tiny_model(hidden=3, scales=2)
     feats = 4.0 * rng.normal(size=(9, 6))
-    feats[4] = 0.0
     labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1])
     got = mslstm._head_loss_and_grads(model, feats, labels, "softmax")
     want = reference_softmax_head(model, feats, labels)

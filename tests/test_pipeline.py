@@ -61,8 +61,8 @@ def reference_nms(proposals, iou_thresh):
 
 def record(left, right, face_box):
     """A located frame: the annotation record a locator returns."""
-    return dataset.AnnotationRecord(frame_index=0, face_box=face_box,
-                                    left_eye=left, right_eye=right)
+    return dataset.AnnotationRecord(face_box=face_box, left_eye=left,
+                                    right_eye=right)
 
 
 def _event(start, end, conf, eye="left"):
@@ -84,9 +84,8 @@ def test_locator_returns_annotated_records():
 def test_locator_invisible_eye():
     clip = dataset.synth_clip(0, dataset.LABEL_BLINK, 10)
     recs = [dataset.AnnotationRecord(
-        frame_index=r.frame_index, face_box=r.face_box,
-        left_eye=dataset.EyeCenter.invisible(), right_eye=r.right_eye)
-        for r in clip.annotations]
+        face_box=r.face_box, left_eye=dataset.EyeCenter.invisible(),
+        right_eye=r.right_eye) for r in clip.annotations]
     clip = dataset.Clip(frames=clip.frames, annotations=recs,
                         label=clip.label, source_id=clip.source_id)
     rec = pipeline.annotation_locator(clip)(clip.frames[0], 0)
@@ -446,6 +445,13 @@ def test_track_clips_matches_reference_per_clip_and_eye():
     assert 4 in resized.reloc_indices
     assert [b[2] for b in resized.boxes] == [16.0] * 4 + [12.0] * 6
     assert pipeline.track_clips([]) == []
+
+
+def test_track_clips_rejects_a_clip_with_no_frames():
+    clip = dataset.synth_clip(0, dataset.LABEL_BLINK, 10)
+    locate = pipeline.annotation_locator(clip)
+    with pytest.raises(ValueError, match="need at least one frame"):
+        pipeline.track_clips([(clip.frames, locate), ([], locate)])
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,55 @@ MUTANTS = [
      "    regions[:, 1] += dy",
      "    regions[:, 0] += dy\n"
      "    regions[:, 1] += dx", None),
+    ("softmax is the head at m = 1", "mslstm",
+     "    margin = {\"softmax\": 1, \"asoftmax\": model.margin}"
+     ".get(loss_kind)",
+     "    margin = {\"softmax\": 2, \"asoftmax\": model.margin}"
+     ".get(loss_kind)", None),
+    ("the head rejects an unknown loss", "mslstm",
+     "    if margin is None:",
+     "    if False:", None),
+    ("a degenerate face box is rejected", "dataset",
+     "    if w <= 0 or h <= 0:",
+     "    if False:", None),
+    ("a face box outside its frame is rejected", "dataset",
+     "    if x < 0 or y < 0 or x + w > shape[1] or y + h > shape[0]:",
+     "    if False:", None),
+    ("an eye outside its face box is rejected", "dataset",
+     "        if eye.visible and not (x <= eye.x <= x + w and y <= eye.y <= "
+     "y + h):",
+     "        if False:", None),
+    ("a missing frame file is named as missing", "dataset",
+     "        if not os.path.exists(path):",
+     "        if False:", None),
+    ("a PGM header comment is skipped", "dataset",
+     "        if data[pos:pos + 1] == b\"#\":",
+     "        if False:", None),
+    ("a clip holds one record per frame", "dataset",
+     "        if len(self.frames) != len(self.annotations):",
+     "        if False:", None),
+    ("a clip holds a frame", "dataset",
+     "        if len(self.frames) == 0:",
+     "        if False:", None),
+    ("every frame of a clip has frame 0's size", "dataset",
+     "        if frames and frame.shape != frames[0].shape:",
+     "        if False:", None),
+    ("a saved record's frame number is its position", "dataset",
+     "            writer.writerow([i,",
+     "            writer.writerow([0,", None),
+    ("record i annotates frame file i", "dataset",
+     "        path = os.path.join(clip_dir, f\"frame_{i:04d}.pgm\")",
+     "        path = os.path.join(clip_dir, f\"frame_{len(anns) - 1 - i:04d}"
+     ".pgm\")", None),
+    ("polish steers a blink clip's darkest frame", "dataset",
+     "        closed = _closed_frame_index(clip)",
+     "        closed = (n - 1) // 2", None),
+    ("track_clips rejects a clip with no frames", "pipeline",
+     "    if any(not frames for frames, _ in clips):",
+     "    if False:", None),
+    ("train rejects clips of unequal length", "cli",
+     "        if len(clip) != length:",
+     "        if False:", None),
 ]
 
 

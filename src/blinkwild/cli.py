@@ -8,6 +8,7 @@ embed a config hash so runs can be traced back to their flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -41,6 +42,20 @@ def _config_hash(args: argparse.Namespace) -> str:
                           if k not in ("func", "out")}, default=str,
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _written_whole(*paths):
+    """Temporary names beside ``paths``, each renamed to its path when the
+    block completes and removed if it fails: a failed command writes none."""
+    temps = [path + ".tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +145,11 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.model}: not written: training reached a "
                          f"non-finite loss or parameter")
     loss_csv = os.path.splitext(args.model)[0] + "_loss.csv"
-    temps = [args.model + ".tmp", loss_csv + ".tmp"]  # renamed when complete
-    try:
+    with _written_whole(args.model, loss_csv) as temps:
         mslstm.save_model(temps[0], model)
         with open(temps[1], "w", newline="") as f:
             csv.writer(f).writerows([("step", "loss"), *(
                 (i, repr(loss)) for i, loss in enumerate(history, start=1))])
-        os.replace(temps[0], args.model)
-        os.replace(temps[1], loss_csv)
-    finally:
-        for path in filter(os.path.exists, temps):
-            os.remove(path)
     print(f"trained {args.steps} steps on {len(train_set)} samples; "
           f"model at {args.model}, losses at {loss_csv}")
     return 0
@@ -241,16 +250,14 @@ def cmd_verify(args) -> int:
                                                   clip.annotations, eye):
                         tally[eye][1] += 1
 
-    os.makedirs(args.out, exist_ok=True)
-    pred_path = os.path.join(args.out, "predictions.csv")
-    with open(pred_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PREDICTION_COLUMNS)
-        writer.writerows(rows)
     fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
                  for eye, counts in tally.items() if counts[2]}
-    _score(args, manifest, pred_path, fr_by_eye,
-           os.path.join(args.out, "report"))
+    os.makedirs(args.out, exist_ok=True)
+    with _written_whole(os.path.join(args.out, "predictions.csv")) as [temp]:
+        with open(temp, "w", newline="") as f:
+            csv.writer(f).writerows([PREDICTION_COLUMNS, *rows])
+        _score(args, manifest, temp, fr_by_eye,
+               os.path.join(args.out, "report"))
     return 0
 
 
@@ -279,6 +286,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     model = (mslstm.load_model(args.model) if args.model
              else mslstm.init_model(seed=args.seed))
+    window = dataset.DEFAULT_CLIP_LEN  # detect's default, at stride 1
     per_frame = {"tracking": [], "features": [], "inference": []}
     frames_timed = 0
     for i in itertools.count():  # stream 0 is an untimed warm-up
@@ -288,11 +296,10 @@ def cmd_bench(args) -> int:
         streams = pipeline.track_eyes(clip.frames,
                                       pipeline.annotation_locator(clip))
         t1 = time.perf_counter()
-        # at detect's default window and stride
-        steps = pipeline.tracked_steps(clip.frames, streams, 10)
+        steps = pipeline.tracked_steps(clip.frames, streams, window)
         t2 = time.perf_counter()
         for seq in steps.values():
-            pipeline.score_windows(model, [seq], 10)
+            pipeline.score_windows(model, [seq], window)
         t3 = time.perf_counter()
         if i:
             for stage, secs in zip(per_frame, (t1 - t0, t2 - t1, t3 - t2)):
@@ -338,15 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-nonblink", type=int, default=100)
     p.add_argument("--test-blink", type=int, default=40)
     p.add_argument("--test-nonblink", type=int, default=40)
-    p.add_argument("--length", type=int, default=10,
-                   help="frames per clip (default 10)")
+    p.add_argument("--length", type=int, default=dataset.DEFAULT_CLIP_LEN,
+                   help="frames per clip (default %(default)s)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("polish", help="fix every clip to a target length")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-len", type=int, default=10,
-                   help="output clip length (default 10; 13 supported)")
+    p.add_argument("--target-len", type=int, default=dataset.DEFAULT_CLIP_LEN,
+                   help="output clip length (default %(default)s; 13 "
+                        "supported)")
     p.set_defaults(func=cmd_polish)
 
     p = sub.add_parser("train", help="train the classifier")
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clip directory with frames and annotations")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="output event CSV")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=int, default=dataset.DEFAULT_CLIP_LEN)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--conf-thresh", type=float, default=0.5)
     p.add_argument("--iou-thresh", type=float, default=0.33)

@@ -553,9 +553,8 @@ def synth_stream(seed: int, length: int = 50,
     ground-truth blink interval as inclusive frame indices, or None.
     """
     if blink_center is None:
-        clip = _synth_frames(seed, LABEL_NONBLINK, length)
-        return clip, None
+        return _synth_frames(seed, LABEL_NONBLINK, length), None
     if not 5 <= blink_center <= length - 5:
         raise ValueError("blink_center too close to the stream edge")
-    clip = _synth_frames(seed, LABEL_BLINK, length, closed_at=blink_center)
-    return clip, (blink_center - 5, blink_center + 4)
+    return (_synth_frames(seed, LABEL_BLINK, length, closed_at=blink_center),
+            (blink_center - 5, blink_center + 4))

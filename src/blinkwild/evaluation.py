@@ -98,8 +98,7 @@ def average_precision(events: list[BlinkEvent],
         return 0.0
     ranked = sorted(events, key=lambda e: -e.confidence)
     matched = [False] * len(gt)
-    tp = 0
-    ap = 0.0
+    tp, ap = 0, 0.0
     for rank, ev in enumerate(ranked, start=1):
         best, best_iou = -1, 0.0
         for j, interval in enumerate(gt):

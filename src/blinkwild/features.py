@@ -90,10 +90,8 @@ def resize_patch(patch: np.ndarray, out: tuple[int, int]) -> np.ndarray:
     if patch.size == 0:
         raise ValueError("empty patch")
     h_in, w_in = patch.shape[-2:]
-    ys = (np.linspace(0.0, h_in - 1.0, h_out) if h_out > 1
-          else np.zeros(1))
-    xs = (np.linspace(0.0, w_in - 1.0, w_out) if w_out > 1
-          else np.zeros(1))
+    ys = np.linspace(0.0, h_in - 1.0, h_out)  # [0.0] when h_out is 1
+    xs = np.linspace(0.0, w_in - 1.0, w_out)
     y0 = np.clip(np.floor(ys).astype(int), 0, h_in - 1)
     x0 = np.clip(np.floor(xs).astype(int), 0, w_in - 1)
     y1 = np.minimum(y0 + 1, h_in - 1)

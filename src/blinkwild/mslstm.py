@@ -3,11 +3,11 @@
 L LSTM layers run over the per-step feature sequence; the classifier
 consumes the concatenation of the top layer's last T hidden states. The
 head holds one unit-norm weight vector per class and no bias, so class
-scores are r*cos(theta_c) with r the feature norm. Training minimizes the
-angular-margin cross-entropy that replaces cos(theta_y) of the true class
-with the monotone extension psi(theta_y) = (-1)^k cos(m theta_y) - 2k;
-plain softmax is the same loss at m = 1. Everything (forward, BPTT, ADAM)
-is plain numpy in float64.
+c's score W_c.x is r*cos(theta_c), with r the feature norm. Training
+minimizes the angular-margin cross-entropy that replaces cos(theta_y) of
+the true class with the monotone extension psi(theta_y) = (-1)^k cos(m
+theta_y) - 2k; plain softmax is the same loss at m = 1. Everything
+(forward, BPTT, ADAM) is plain numpy in float64.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .errors import InvalidDatasetError, ModelFormatError
 
@@ -229,14 +230,6 @@ def _backward_batch(model: MsLstmModel, caches, dfeat: np.ndarray,
             np.matmul(da_flat, params.w.T, out=dh_seq.reshape(n * b, -1))
 
 
-def _geometry(model: MsLstmModel, x: np.ndarray):
-    """Features, norms and class cosines of a (batch, steps, dim) batch."""
-    feats, _ = _run_layers(model, x, keep_cache=False)
-    r = np.linalg.norm(feats, axis=1)
-    cos = feats @ model.head.T / np.maximum(r, 1e-300)[:, None]
-    return feats, r, cos
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -244,23 +237,16 @@ def _geometry(model: MsLstmModel, x: np.ndarray):
 def psi(cos_theta: np.ndarray, m: int):
     """Monotone angular-margin map and its derivative w.r.t. cos(theta).
 
-    psi(theta) = (-1)^k cos(m theta) - 2k on [k pi/m, (k+1) pi/m].
+    psi(theta) = (-1)^k T_m(cos theta) - 2k on [k pi/m, (k+1) pi/m].
     """
     if m < 1:
         raise ValueError("margin must be >= 1")
     c = np.clip(np.asarray(cos_theta, dtype=np.float64), -1.0, 1.0)
-    theta = np.arccos(c)
-    k = np.minimum(np.floor(theta * m / np.pi), m - 1)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    val = sign * np.cos(m * theta) - 2.0 * k
-    sin_t = np.sin(theta)
-    # d psi / d cos = sign * m * sin(m theta) / sin(theta); the ratio tends
-    # to m^2 * (-1)^j near theta = 0 or pi, handled by series fallback
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(sin_t > 1e-8, np.sin(m * theta) / np.where(
-            sin_t > 1e-8, sin_t, 1.0), m * np.cos(m * theta) / np.where(
-            np.cos(theta) != 0, np.cos(theta), 1.0))
-    deriv = sign * m * ratio
+    t_m = np.eye(m + 1)[m]  # T_m(cos theta) = cos(m theta), Chebyshev basis
+    k = (c[..., None] <= np.cos(np.arange(1, m) * np.pi / m)).sum(axis=-1)
+    sign = 1.0 - 2.0 * (k % 2)
+    val = sign * chebval(c, t_m) - 2.0 * k
+    deriv = sign * chebval(c, chebder(t_m))
     if np.isscalar(cos_theta):
         return float(val), float(deriv)
     return val, deriv
@@ -430,16 +416,16 @@ def predict(model: MsLstmModel, seq: np.ndarray):
     A (steps, input_dim) sequence gives (int, float); a (batch, steps,
     input_dim) batch gives (labels (batch,), blink_probs (batch,)), each row
     scored as if alone, since every sequence starts from a zero state.
-    Inference always uses the plain angular scores r*cos(theta_c); the
-    margin only reshapes the training loss.
+    Inference always scores class c as W_c.x = r*cos(theta_c); the margin
+    only reshapes the training loss.
     """
     x = np.asarray(seq, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != model.input_dim:
         raise ValueError("sequence has wrong feature dimension")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input sequence")
-    _, r, cos = _geometry(model, x if x.ndim == 3 else x[None])
-    scores = r[:, None] * cos
+    feats, _ = _run_layers(model, x if x.ndim == 3 else x[None], False)
+    scores = feats @ model.head.T
     z = scores - scores.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)

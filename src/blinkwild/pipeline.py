@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import features, mslstm, tracker
-from .dataset import AnnotationRecord, Clip, eye_box
+from .dataset import (DEFAULT_CLIP_LEN, LABEL_BLINK, LABEL_NONBLINK,
+                      AnnotationRecord, Clip, eye_box)
 from .errors import TrackLostError
 
 EYES = ("left", "right")
@@ -57,9 +58,8 @@ def annotation_locator(clip: Clip) -> EyeLocator:
     annotated range report absence.
     """
     def locate(frame: np.ndarray, index: int):
-        if index < len(clip.annotations):
-            return clip.annotations[index]
-        return None
+        return (clip.annotations[index] if index < len(clip.annotations)
+                else None)
 
     return locate
 
@@ -171,12 +171,12 @@ def verify_streams(clip_frames, streams: list[dict[str, TrackedStream]],
     verdicts, keys, seqs = [], [], []
     for i, (frames, tracks) in enumerate(zip(clip_frames, streams)):
         verdicts.append(dict.fromkeys(tracks,
-                                      EyeVerdict("nonblink", 0.0, True)))
+                                      EyeVerdict(LABEL_NONBLINK, 0.0, True)))
         for eye, seq in tracked_steps(frames, tracks, len(frames)).items():
             keys.append((i, eye))
             seqs.append(seq)
     for (i, eye), [(_, label, conf)] in zip(keys, score_windows(model, seqs)):
-        name = "blink" if label == mslstm.CLASS_BLINK else "nonblink"
+        name = LABEL_BLINK if label == mslstm.CLASS_BLINK else LABEL_NONBLINK
         verdicts[i][eye] = EyeVerdict(name, conf, False)
     return verdicts
 
@@ -249,7 +249,7 @@ def score_windows(model: mslstm.MsLstmModel, seqs, window: int | None = None,
 
 
 def detect_stream(frames, locator: EyeLocator, model: mslstm.MsLstmModel,
-                  window: int = 10, stride: int = 1,
+                  window: int = DEFAULT_CLIP_LEN, stride: int = 1,
                   conf_thresh: float = 0.5,
                   iou_thresh: float = 0.33) -> list[BlinkEvent]:
     """Sliding-window blink detection over an untrimmed stream.

@@ -128,9 +128,7 @@ def _extract(frame: np.ndarray, region, size) -> np.ndarray:
     if not in_frame(frame, region):
         raise TrackLostError(f"region center {tuple(region[:2])} left the "
                              f"frame")
-    patch = crop_eye(frame, EyeCenter(region[0], region[1]),
-                     size).astype(np.float64)
-    return patch / 255.0
+    return crop_eye(frame, EyeCenter(region[0], region[1]), size) / 255.0
 
 
 def _preprocess(patch: np.ndarray, window: np.ndarray) -> np.ndarray:

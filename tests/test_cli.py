@@ -272,6 +272,18 @@ def test_verify_repeated_source_id_is_one_line_error(small_dataset,
     assert not (out / "predictions.csv").exists()
 
 
+def test_verify_that_cannot_write_its_report_leaves_no_predictions(
+        small_dataset, small_model, tmp_path, capsys):
+    out = tmp_path / "v"
+    (out / "report.json").mkdir(parents=True)  # scoring fails to write it
+    assert run(["verify", "--manifest", small_dataset / "manifest.tsv",
+                "--model", small_model, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    # no predictions.csv (or its temporary) for eval to read as valid
+    assert os.listdir(out) == ["report.json"]
+
+
 def _edit_record(clip_dir, t, edit):
     """Replace record ``t`` of the clip in ``clip_dir`` by ``edit`` of it;
     returns the annotation file's path."""

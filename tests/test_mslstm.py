@@ -55,8 +55,10 @@ def _one_layer(params, scales=1, seed=0):
 
 def forward(model, seq):
     """(feature, norm, cosines) of one (steps, dim) sequence."""
-    feats, r, cos = mslstm._geometry(model, np.asarray(seq, dtype=float)[None])
-    return feats[0], float(r[0]), cos[0]
+    feats, _ = mslstm._run_layers(model, np.asarray(seq, dtype=float)[None],
+                                  keep_cache=False)
+    r = float(np.linalg.norm(feats[0]))
+    return feats[0], r, model.head @ feats[0] / max(r, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,65 @@ def test_psi_at_zero_angle():
     for m in (1, 2, 3, 4):
         val, _ = mslstm.psi(1.0, m)
         assert np.isclose(val, 1.0)
+
+
+def reference_psi(cos_theta, m):
+    """The trig form of psi: theta = arccos(c), then (-1)^k cos(m theta) -
+    2k and the derivative sign * m sin(m theta) / sin(theta), with its limit
+    m cos(m theta) / cos(theta) where sin(theta) vanishes."""
+    c = np.clip(np.asarray(cos_theta, dtype=np.float64), -1.0, 1.0)
+    theta = np.arccos(c)
+    k = np.minimum(np.floor(theta * m / np.pi), m - 1)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    val = sign * np.cos(m * theta) - 2.0 * k
+    sin_t = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sin_t > 1e-8, np.sin(m * theta) / np.where(
+            sin_t > 1e-8, sin_t, 1.0), m * np.cos(m * theta) / np.where(
+            np.cos(theta) != 0, np.cos(theta), 1.0))
+    return val, sign * m * ratio
+
+
+def _psi_grid(m):
+    """[-1, 1] in 2001 steps plus every boundary cos(j pi/m), ascending."""
+    bounds = np.cos(np.arange(m + 1) * np.pi / m)
+    return np.unique(np.concatenate([np.linspace(-1.0, 1.0, 2001), bounds]))
+
+
+def test_psi_margin_one_is_the_cosine_exactly():
+    c = np.linspace(-1.0, 1.0, 2001)
+    val, deriv = mslstm.psi(c, 1)
+    assert np.array_equal(val, c) and np.all(deriv == 1.0)
+    assert all(mslstm.psi(float(x), 1) == (float(x), 1.0) for x in c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_psi_continuous_and_non_increasing_in_theta(m):
+    for j in range(1, m):  # psi = 1 - 2j on the j-th boundary, both sides
+        b = math.cos(j * math.pi / m)
+        vals = mslstm.psi(np.array([b - 1e-9, b, b + 1e-9]), m)[0]
+        assert np.allclose(vals, 1 - 2 * j, rtol=0, atol=1e-7)
+    val, _ = mslstm.psi(_psi_grid(m), m)
+    assert np.all(np.diff(val) >= 0)  # ascending cos is descending theta
+    assert val[0] == pytest.approx(1 - 2 * m) and val[-1] == 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_psi_derivative_matches_difference_quotient(m):
+    c, h = _psi_grid(m), 1e-6
+    lo, hi = np.maximum(c - h, -1.0), np.minimum(c + h, 1.0)
+    quotient = (mslstm.psi(hi, m)[0] - mslstm.psi(lo, m)[0]) / (hi - lo)
+    # one-sided at c = +-1, where psi'' reaches m^2 (m^2 - 1) / 3
+    assert np.allclose(mslstm.psi(c, m)[1], quotient, rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_psi_matches_trig_reference(m):
+    c = _psi_grid(m)
+    val, deriv = mslstm.psi(c, m)
+    want_val, want_deriv = reference_psi(c, m)
+    assert np.max(np.abs(val - want_val)) <= 1e-12
+    assert np.max(np.abs(deriv - want_deriv)) <= 1e-9
 
 
 def test_margin_one_equals_plain_angular_softmax(rng):

@@ -285,6 +285,21 @@ MUTANTS = [
     ("train rejects clips of unequal length", "cli",
      "        if len(clip) != length:",
      "        if False:", None),
+    ("psi flips its sign on every odd interval", "mslstm",
+     "    sign = 1.0 - 2.0 * (k % 2)",
+     "    sign = 1.0", None),
+    ("psi drops by 2 on each interval", "mslstm",
+     "    val = sign * chebval(c, t_m) - 2.0 * k",
+     "    val = sign * chebval(c, t_m) - 1.0 * k", None),
+    ("predict scores a class as W_c.x = r*cos, not cos", "mslstm",
+     "    scores = feats @ model.head.T",
+     "    scores = feats @ model.head.T / np.maximum(np.linalg.norm("
+     "feats, axis=1, keepdims=True), 1e-300)", None),
+    ("verify writes predictions.csv only beside a whole report", "cli",
+     "    with _written_whole(os.path.join(args.out, \"predictions.csv\")) "
+     "as [temp]:",
+     "    with contextlib.nullcontext([os.path.join(args.out, "
+     "\"predictions.csv\")]) as [temp]:", None),
 ]
 
 

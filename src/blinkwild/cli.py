@@ -8,7 +8,6 @@ embed a config hash so runs can be traced back to their flags.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import itertools
@@ -42,20 +41,6 @@ def _config_hash(args: argparse.Namespace) -> str:
                           if k not in ("func", "out")}, default=str,
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@contextlib.contextmanager
-def _written_whole(*paths):
-    """Temporary names beside ``paths``, each renamed to its path when the
-    block completes and removed if it fails: a failed command writes none."""
-    temps = [path + ".tmp" for path in paths]
-    try:
-        yield temps
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    finally:
-        for temp in filter(os.path.exists, temps):
-            os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +130,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.model}: not written: training reached a "
                          f"non-finite loss or parameter")
     loss_csv = os.path.splitext(args.model)[0] + "_loss.csv"
-    with _written_whole(args.model, loss_csv) as temps:
+    with evaluation.written_whole(args.model, loss_csv) as temps:
         mslstm.save_model(temps[0], model)
         with open(temps[1], "w", newline="") as f:
             csv.writer(f).writerows([("step", "loss"), *(
@@ -253,7 +238,8 @@ def cmd_verify(args) -> int:
     fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
                  for eye, counts in tally.items() if counts[2]}
     os.makedirs(args.out, exist_ok=True)
-    with _written_whole(os.path.join(args.out, "predictions.csv")) as [temp]:
+    predictions = os.path.join(args.out, "predictions.csv")
+    with evaluation.written_whole(predictions) as [temp]:
         with open(temp, "w", newline="") as f:
             csv.writer(f).writerows([PREDICTION_COLUMNS, *rows])
         _score(args, manifest, temp, fr_by_eye,
@@ -268,11 +254,11 @@ def cmd_detect(args) -> int:
         clip.frames, pipeline.annotation_locator(clip), model,
         window=args.window, stride=args.stride,
         conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh)
-    with open(args.out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eye", "start", "end", "confidence"])
-        for ev in events:
-            writer.writerow([ev.eye, ev.start, ev.end, repr(ev.confidence)])
+    with evaluation.written_whole(args.out) as [temp]:
+        with open(temp, "w", newline="") as f:
+            csv.writer(f).writerows([("eye", "start", "end", "confidence"), *(
+                (ev.eye, ev.start, ev.end, repr(ev.confidence))
+                for ev in events)])
     print(f"{len(events)} events -> {args.out}")
     return 0
 

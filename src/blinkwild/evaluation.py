@@ -8,6 +8,7 @@ yield 0 by convention so empty runs still produce a report.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -128,6 +129,24 @@ def _pr_rows(scores) -> list[tuple[float, float, float]]:
     return rows
 
 
+@contextlib.contextmanager
+def written_whole(*paths):
+    """Temporary names beside ``paths``, each renamed to its path when the
+    block completes; if the block or a rename fails, the temporaries and
+    the paths renamed so far are removed: a failed command writes none."""
+    temps = [path + ".tmp" for path in paths]
+    renamed = []
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            renamed.append(path)
+    finally:
+        if len(renamed) < len(paths):  # the block or a rename failed
+            for path in filter(os.path.exists, temps + renamed):
+                os.remove(path)
+
+
 def emit_report(path: str, per_eye: dict, scores, seed: int,
                 config_hash: str) -> None:
     """Write ``path``.json, ``path``.csv and ``path``_pr.csv deterministically.
@@ -138,22 +157,19 @@ def emit_report(path: str, per_eye: dict, scores, seed: int,
     payload = {"version": REPORT_VERSION, "per_eye": per_eye, "seed": seed,
                "config_hash": config_hash}
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path + ".json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(path + ".csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eye", "recall", "precision", "f1", "fr"])
-        for eye in sorted(per_eye):
-            vals = per_eye[eye]
-            writer.writerow([eye] + ["" if vals[k] is None else repr(vals[k])
-                                     for k in ("recall", "precision", "f1",
-                                               "fr")])
-    with open(path + "_pr.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["threshold", "precision", "recall"])
-        for thr, precision, recall in _pr_rows(scores):
-            writer.writerow([repr(thr), repr(precision), repr(recall)])
+    with written_whole(path + ".json", path + ".csv",
+                       path + "_pr.csv") as [json_temp, csv_temp, pr_temp]:
+        with open(json_temp, "w") as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with open(csv_temp, "w", newline="") as f:
+            csv.writer(f).writerows(
+                [["eye", "recall", "precision", "f1", "fr"]]
+                + [[eye] + ["" if vals[k] is None else repr(vals[k])
+                            for k in ("recall", "precision", "f1", "fr")]
+                   for eye, vals in sorted(per_eye.items())])
+        with open(pr_temp, "w", newline="") as f:
+            csv.writer(f).writerows([("threshold", "precision", "recall"), *(
+                map(repr, row) for row in _pr_rows(scores))])
 
 
 def load_report(path: str) -> dict:

@@ -75,6 +75,16 @@ class Located:
     moved: np.ndarray        # (tracks,) bool: the peak shifted the region
 
 
+# np.fft.rfft2 and irfft2 of the last two axes: their 1-D passes in their
+# order, without their n-D wrappers
+def _rfft2(x: np.ndarray) -> np.ndarray:
+    return np.fft.fft(np.fft.rfft(x, axis=-1), axis=-2)
+
+
+def _irfft2(x_hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    return np.fft.irfft(np.fft.ifft(x_hat, axis=-2), n=shape[1], axis=-1)
+
+
 def _energy(x_hat: np.ndarray, width: int) -> np.ndarray:
     """||x||^2 of each row from its rfft2 spectrum (Parseval).
 
@@ -95,10 +105,15 @@ def _kernel(x_hat: np.ndarray, z_hat: np.ndarray, energy,
     ``energy`` is ||x||^2 + ||z||^2 per row; the circular cross-correlation
     takes a single inverse transform.
     """
-    cross = np.fft.irfft2(x_hat * np.conj(z_hat), s=shape)
-    d = ((np.asarray(energy)[..., None, None] - 2.0 * cross)
-         / (shape[0] * shape[1]))
-    return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
+    # as written: numpy's conj-temporary elision sets the operands' order
+    k = _irfft2(x_hat * np.conj(z_hat), shape)
+    k *= -2.0
+    k += np.asarray(energy)[..., None, None]
+    k /= shape[0] * shape[1]
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)
+    k /= sigma_k ** 2
+    return np.exp(k, out=k)
 
 
 def gaussian_correlation(x: np.ndarray, z: np.ndarray,
@@ -114,7 +129,7 @@ def gaussian_correlation(x: np.ndarray, z: np.ndarray,
     if x.shape != z.shape:
         raise ValueError("patch shapes differ")
     energy = np.sum(x * x) + np.sum(z * z)
-    return _kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, x.shape, sigma_k)
+    return _kernel(_rfft2(x), _rfft2(z), energy, x.shape, sigma_k)
 
 
 def in_frame(frame: np.ndarray, region) -> bool:
@@ -123,20 +138,26 @@ def in_frame(frame: np.ndarray, region) -> bool:
 
 
 def _extract(frame: np.ndarray, region, size) -> np.ndarray:
-    """The patch around ``region``; a center outside the frame ends the
-    track with TrackLostError."""
+    """The patch around ``region``, in the frame's own values; a center
+    outside the frame ends the track with TrackLostError."""
     if not in_frame(frame, region):
         raise TrackLostError(f"region center {tuple(region[:2])} left the "
                              f"frame")
-    return crop_eye(frame, EyeCenter(region[0], region[1]), size) / 255.0
+    return crop_eye(frame, EyeCenter(region[0], region[1]), size)
 
 
 def _preprocess(patch: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # unit variance keeps the kernel spectrum well above lambda, so the
+    # np.mean and np.std, bit for bit, over a flat view and in place; unit
+    # variance keeps the kernel spectrum well above lambda, so the
     # self-response reproduces the target map almost exactly
-    centered = patch - patch.mean(axis=(-2, -1), keepdims=True)
-    return (centered / (centered.std(axis=(-2, -1), keepdims=True) + 1e-12)
-            * window)
+    x = patch.reshape(*patch.shape[:-2], -1)
+    n = x.shape[-1]
+    x -= np.add.reduce(x, axis=-1, keepdims=True) / n
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    d *= d
+    x /= np.sqrt(np.add.reduce(d, axis=-1, keepdims=True) / n) + 1e-12
+    x *= window.reshape(-1)
+    return x.reshape(patch.shape)
 
 
 def _transform(frames, regions, window: np.ndarray
@@ -144,9 +165,9 @@ def _transform(frames, regions, window: np.ndarray
     """rfft2 spectrum and energy of the preprocessed patch of each frame at
     its region, stacked."""
     x = _preprocess(np.stack([_extract(frame, region, window.shape)
-                              for frame, region in zip(frames, regions)]),
-                    window)
-    return np.fft.rfft2(x), np.sum(x * x, axis=(-2, -1))
+                              for frame, region in zip(frames, regions)])
+                    / 255.0, window)
+    return _rfft2(x), np.add.reduce((x * x).reshape(len(x), -1), axis=-1)
 
 
 def _target_response(size: tuple[int, int]) -> np.ndarray:
@@ -172,8 +193,9 @@ def _train(x_hat: np.ndarray, x_energy: np.ndarray, y_hat: np.ndarray,
            shape: tuple[int, int]) -> np.ndarray:
     """Dual coefficients of the ridge regression on each patch x, rfft2
     domain."""
-    k_xx = _kernel(x_hat, x_hat, 2.0 * x_energy, shape, SIGMA_K)
-    return y_hat / (np.fft.rfft2(k_xx) + LAMBDA)
+    k_hat = _rfft2(_kernel(x_hat, x_hat, 2.0 * x_energy, shape, SIGMA_K))
+    k_hat += LAMBDA
+    return np.divide(y_hat, k_hat, out=k_hat)
 
 
 def _unwrap(idx, n: int):
@@ -230,7 +252,9 @@ def stack_locate(stack: KcfStack, frames) -> Located:
                                          stack.window)
     energy = probe_energy + _energy(stack.template_hat, shape[1])
     k_zx = _kernel(probe_hat, stack.template_hat, energy, shape, SIGMA_K)
-    response = np.fft.irfft2(np.fft.rfft2(k_zx) * stack.alpha_hat, s=shape)
+    k_hat = _rfft2(k_zx)
+    k_hat *= stack.alpha_hat
+    response = _irfft2(k_hat, shape)
     flat = response.reshape(len(response), -1)
     peak = flat.argmax(axis=1)
     dy = _unwrap(peak // shape[1], shape[0])
@@ -259,11 +283,15 @@ def stack_adapt(stack: KcfStack, rows, frames, located: Located) -> None:
         fresh_hat[moved], fresh_energy[moved] = _transform(
             [frames[rows[i]] for i in moved], regions[moved].tolist(),
             stack.window)
-    stack.template_hat = ((1 - INTERP) * stack.template_hat[rows]
-                          + INTERP * fresh_hat)
-    stack.alpha_hat = ((1 - INTERP) * stack.alpha_hat[rows]
-                       + INTERP * _train(fresh_hat, fresh_energy, stack.y_hat,
-                                         stack.window.shape))
+    fresh_alpha = _train(fresh_hat, fresh_energy, stack.y_hat,
+                         stack.window.shape)
+    # ``rows`` indexes, never slices: both blends write into copies
+    template_hat, alpha_hat = stack.template_hat[rows], stack.alpha_hat[rows]
+    for old, fresh in ((template_hat, fresh_hat), (alpha_hat, fresh_alpha)):
+        old *= 1 - INTERP
+        fresh *= INTERP
+        old += fresh
+    stack.template_hat, stack.alpha_hat = template_hat, alpha_hat
     stack.regions = regions
     stack.keys = [stack.keys[i] for i in rows]
 

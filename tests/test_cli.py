@@ -284,6 +284,45 @@ def test_verify_that_cannot_write_its_report_leaves_no_predictions(
     assert os.listdir(out) == ["report.json"]
 
 
+@pytest.mark.parametrize("blocked", ["report.csv", "report_pr.csv"])
+def test_verify_that_cannot_write_a_report_file_writes_none(
+        small_dataset, small_model, tmp_path, capsys, blocked):
+    """A report file that cannot be written takes the ones renamed before
+    it with it: only the directory in its way is left."""
+    out = tmp_path / "v"
+    (out / blocked).mkdir(parents=True)
+    assert run(["verify", "--manifest", small_dataset / "manifest.tsv",
+                "--model", small_model, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert os.listdir(out) == [blocked]
+
+
+class _Unwritable:
+    def __repr__(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_detect_that_fails_mid_write_keeps_the_old_events(
+        small_model, tmp_path, capsys, monkeypatch):
+    """An event CSV whose writing fails part-way replaces nothing: the
+    file from an earlier run is left as it was, and no temporary."""
+    clip, _ = dataset.synth_stream(12, 50, blink_center=25)
+    stream_dir = str(tmp_path / "stream")
+    dataset.save_clip(stream_dir, clip)
+    out = tmp_path / "events" / "events.csv"
+    out.parent.mkdir()
+    out.write_text("earlier run\n")
+    monkeypatch.setattr(pipeline, "detect_stream", lambda *a, **k: [
+        pipeline.BlinkEvent(3, 12, 0.9, "left"),
+        pipeline.BlinkEvent(20, 29, _Unwritable(), "right")])
+    assert run(["detect", "--frames", stream_dir, "--model", small_model,
+                "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "earlier run\n"
+    assert os.listdir(out.parent) == ["events.csv"]
+
+
 def _edit_record(clip_dir, t, edit):
     """Replace record ``t`` of the clip in ``clip_dir`` by ``edit`` of it;
     returns the annotation file's path."""

@@ -1,10 +1,16 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blinkwild import tracker
+from blinkwild import dataset, pipeline, tracker
 from blinkwild.errors import TrackLostError
+
+# Python-level calls (``call`` and ``c_call`` profile events) per tracked
+# frame of ``track_eyes`` on one seeded 100-frame stream: 260 measured,
+# bound 10 % above, so that added per-frame overhead fails here
+CALLS_PER_FRAME = 286
 
 
 def brute_gaussian_correlation(x, z, sigma_k):
@@ -215,8 +221,8 @@ def reference_init(frame, region):
             round(region[3] * tracker.PADDING))
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
     y_hat = np.fft.fft2(tracker._target_response(size))
-    template = tracker._preprocess(tracker._extract(frame, region, size),
-                                   window)
+    template = tracker._preprocess(
+        tracker._extract(frame, region, size) / 255.0, window)
     k_xx = reference_correlation(template, template, tracker.SIGMA_K)
     alpha_hat = y_hat / (np.fft.fft2(k_xx) + tracker.LAMBDA)
     return dict(template=template, alpha_hat=alpha_hat, region=region,
@@ -227,7 +233,8 @@ def reference_update(state, frame):
     rate = tracker.INTERP
     size = state["template"].shape
     probe = tracker._preprocess(
-        tracker._extract(frame, state["region"], size), state["window"])
+        tracker._extract(frame, state["region"], size) / 255.0,
+        state["window"])
     k_zx = reference_correlation(probe, state["template"], tracker.SIGMA_K)
     response = np.fft.ifft2(np.fft.fft2(k_zx) * state["alpha_hat"])
     assert np.max(np.abs(response.imag)) < 1e-9
@@ -238,8 +245,8 @@ def reference_update(state, frame):
     cx, cy, h, w = state["region"]
     region = (cx + dx, cy + dy, h, w)
     state = dict(state, region=region)
-    fresh = tracker._preprocess(tracker._extract(frame, region, size),
-                                state["window"])
+    fresh = tracker._preprocess(
+        tracker._extract(frame, region, size) / 255.0, state["window"])
     k_xx = reference_correlation(fresh, fresh, tracker.SIGMA_K)
     alpha_fresh = state["y_hat"] / (np.fft.fft2(k_xx) + tracker.LAMBDA)
     state["template"] = (1 - rate) * state["template"] + rate * fresh
@@ -390,3 +397,149 @@ def test_size_constants_cached_read_only(rng):
     assert state.window is window and state.y_hat is y_hat
     other_size = tracker._size_constants((40, 38))
     assert other_size[0].shape == (40, 38)
+
+
+# ---------------------------------------------------------------------------
+# the in-place numerics against the expressions they replaced, bit for bit
+
+
+def ref_preprocess(patch, window):
+    centered = patch - patch.mean(axis=(-2, -1), keepdims=True)
+    return (centered / (centered.std(axis=(-2, -1), keepdims=True) + 1e-12)
+            * window)
+
+
+def ref_kernel(x_hat, z_hat, energy, shape, sigma_k):
+    cross = np.fft.irfft2(x_hat * np.conj(z_hat), s=shape)
+    d = ((np.asarray(energy)[..., None, None] - 2.0 * cross)
+         / (shape[0] * shape[1]))
+    return np.exp(-np.maximum(d, 0.0) / (sigma_k ** 2))
+
+
+def ref_transform(frames, regions, window):
+    x = ref_preprocess(np.stack([tracker._extract(frame, region, window.shape)
+                                 / 255.0
+                                 for frame, region in zip(frames, regions)]),
+                       window)
+    return np.fft.rfft2(x), np.sum(x * x, axis=(-2, -1))
+
+
+def ref_train(x_hat, x_energy, y_hat, shape):
+    k_xx = ref_kernel(x_hat, x_hat, 2.0 * x_energy, shape, tracker.SIGMA_K)
+    return y_hat / (np.fft.rfft2(k_xx) + tracker.LAMBDA)
+
+
+def _rows(rng, n, shapes=((96, 128),)):
+    """``n`` frames, cycling through ``shapes``, each with a 16x16 region
+    (a 40x40 padded patch) centred anywhere inside it, borders included."""
+    frames = [smooth_image(rng, shapes[i % len(shapes)]) for i in range(n)]
+    regions = [(float(rng.integers(0, f.shape[1])),
+                float(rng.integers(0, f.shape[0])), 16.0, 16.0)
+               for f in frames]
+    return frames, regions
+
+
+@pytest.mark.parametrize("n,shapes", [
+    (1, ((96, 128),)), (2, ((96, 128),)), (20, ((96, 128),)),
+    (5, ((96, 128), (64, 72), (120, 80)))])
+def test_numerics_equal_their_references_bit_for_bit(rng, n, shapes):
+    """Stacks of 1, 2 and 20 rows (20 40x40 spectra pass numpy's 256 KiB
+    temporary-elision size) and one stack of rows from frames of three
+    sizes: each helper gives exactly its reference's bits."""
+    window, y_hat = tracker._size_constants((40, 40))
+    frames, regions = _rows(rng, n, shapes)
+    crops = np.stack([tracker._extract(f, r, window.shape) / 255.0
+                      for f, r in zip(frames, regions)])
+    assert np.array_equal(tracker._preprocess(crops.copy(), window),
+                          ref_preprocess(crops, window))
+    x_hat, x_energy = tracker._transform(frames, regions, window)
+    want_hat, want_energy = ref_transform(frames, regions, window)
+    assert np.array_equal(x_hat, want_hat)
+    assert np.array_equal(x_energy, want_energy)
+    z_hat, z_energy = ref_transform(frames[::-1], regions[::-1], window)
+    energy = x_energy + z_energy
+    assert np.array_equal(
+        tracker._kernel(x_hat, z_hat, energy, (40, 40), tracker.SIGMA_K),
+        ref_kernel(x_hat, z_hat, energy, (40, 40), tracker.SIGMA_K))
+    assert np.array_equal(tracker._train(x_hat, x_energy, y_hat, (40, 40)),
+                          ref_train(x_hat, x_energy, y_hat, (40, 40)))
+
+
+def test_single_patch_and_border_crop_equal_their_references(rng):
+    """``_preprocess`` of one 2-D patch, and of a crop that edge-replicates
+    past the frame's corner."""
+    frame = smooth_image(rng)
+    window, _ = tracker._size_constants((40, 38))
+    for center in [(48.0, 48.0), (0.0, 95.0)]:
+        patch = tracker._extract(frame, (*center, 16.0, 15.0),
+                                 window.shape) / 255.0
+        assert patch.shape == (40, 38)
+        assert np.array_equal(tracker._preprocess(patch.copy(), window),
+                              ref_preprocess(patch, window))
+    border = tracker._extract(frame, (0.0, 95.0, 16.0, 15.0), window.shape)
+    assert np.all(border[:, :19] == border[:, [19]])  # edge-replicated
+    regions = [(0.0, 95.0, 16.0, 15.0), (95.0, 0.0, 16.0, 15.0)]
+    got = tracker._transform([frame, frame], regions, window)
+    want = ref_transform([frame, frame], regions, window)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_gaussian_correlation_scalar_energy_equals_reference(rng):
+    for shape in [(8, 8), (13, 17), (40, 40)]:
+        x, z = rng.normal(size=shape), rng.normal(size=shape)
+        energy = np.sum(x * x) + np.sum(z * z)
+        assert np.array_equal(
+            tracker.gaussian_correlation(x, z, 0.7),
+            ref_kernel(np.fft.rfft2(x), np.fft.rfft2(z), energy, shape, 0.7))
+
+
+def test_adapt_equals_the_reference_blend(rng):
+    """``stack_adapt``'s in-place blend gives the bits of
+    ``(1 - INTERP) * old + INTERP * fresh`` on the template and on alpha,
+    with moved rows re-transformed and the others training on their
+    probe; ``located`` itself is left as it was."""
+    window, y_hat = tracker._size_constants((40, 40))
+    frames, regions = _rows(rng, 6)
+    stack = tracker.kcf_stack((40, 40))
+    tracker.stack_join(stack, list("abcdef"), frames, regions)
+    shifted = [np.roll(f, (i % 2) * 3, axis=1) for i, f in enumerate(frames)]
+    located = tracker.stack_locate(stack, shifted)
+    probe_hat = located.probe_hat.copy()
+    rows = [4, 1, 0, 3]
+    old_template, old_alpha = stack.template_hat, stack.alpha_hat
+    tracker.stack_adapt(stack, rows, shifted, located)
+    assert np.array_equal(located.probe_hat, probe_hat)
+    for i, row in enumerate(rows):
+        if located.moved[row]:
+            fresh_hat, fresh_energy = ref_transform(
+                [shifted[row]], [located.regions[row].tolist()], window)
+        else:
+            fresh_hat = probe_hat[[row]]
+            fresh_energy = located.probe_energy[[row]]
+        fresh_alpha = ref_train(fresh_hat, fresh_energy, y_hat, (40, 40))
+        rate = tracker.INTERP
+        assert np.array_equal(stack.template_hat[i], (
+            (1 - rate) * old_template[row] + rate * fresh_hat[0]))
+        assert np.array_equal(stack.alpha_hat[i], (
+            (1 - rate) * old_alpha[row] + rate * fresh_alpha[0]))
+    assert located.moved[rows].any() and not located.moved[rows].all()
+
+
+def test_tracked_frame_call_budget():
+    """Python-level calls per tracked frame stay under ``CALLS_PER_FRAME``,
+    counted with ``sys.setprofile`` after one warm-up run."""
+    clip, _ = dataset.synth_stream(1, 100, blink_center=50)
+    pipeline.track_eyes(clip.frames, pipeline.annotation_locator(clip))
+    locate = pipeline.annotation_locator(clip)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        pipeline.track_eyes(clip.frames, locate)
+    finally:
+        sys.setprofile(None)
+    assert calls / len(clip.frames) <= CALLS_PER_FRAME

@@ -221,16 +221,49 @@ MUTANTS = [
      "    return 0 <= region[0] < frame.shape[1] and 0 < region[1] < "
      "frame.shape[0]", None),
     ("the blend keeps 1 - INTERP of the model", "tracker",
-     "    stack.template_hat = ((1 - INTERP) * stack.template_hat[rows]\n"
-     "                          + INTERP * fresh_hat)\n"
-     "    stack.alpha_hat = ((1 - INTERP) * stack.alpha_hat[rows]\n"
-     "                       + INTERP * _train(fresh_hat, fresh_energy, "
-     "stack.y_hat,",
-     "    stack.template_hat = (INTERP * stack.template_hat[rows]\n"
-     "                          + (1 - INTERP) * fresh_hat)\n"
-     "    stack.alpha_hat = (INTERP * stack.alpha_hat[rows]\n"
-     "                       + (1 - INTERP) * _train(fresh_hat, "
-     "fresh_energy, stack.y_hat,", None),
+     "        old *= 1 - INTERP\n"
+     "        fresh *= INTERP",
+     "        old *= INTERP\n"
+     "        fresh *= 1 - INTERP", None),
+    ("the kernel's cross term is -2 corr", "tracker",
+     "    k *= -2.0",
+     "    k *= -1.0", None),
+    ("std re-centers the centered patch", "tracker",
+     "    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n",
+     "    d = x.copy()", None),
+    ("training adds lambda to the kernel spectrum", "tracker",
+     "    k_hat += LAMBDA",
+     "    pass", None),
+    ("the patch stack is divided by 255", "tracker",
+     "                    / 255.0, window)",
+     "                    / 1.0, window)", None),
+    ("report.json is written under a temporary name", "evaluation",
+     "    with written_whole(path + \".json\", path + \".csv\",\n"
+     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
+     "pr_temp]:",
+     "    json_temp = path + \".json\"\n"
+     "    with written_whole(path + \".csv\", path + \"_pr.csv\") as "
+     "[csv_temp, pr_temp]:", None),
+    ("report.csv is written under a temporary name", "evaluation",
+     "    with written_whole(path + \".json\", path + \".csv\",\n"
+     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
+     "pr_temp]:",
+     "    csv_temp = path + \".csv\"\n"
+     "    with written_whole(path + \".json\", path + \"_pr.csv\") as "
+     "[json_temp, pr_temp]:", None),
+    ("report_pr.csv is written under a temporary name", "evaluation",
+     "    with written_whole(path + \".json\", path + \".csv\",\n"
+     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
+     "pr_temp]:",
+     "    pr_temp = path + \"_pr.csv\"\n"
+     "    with written_whole(path + \".json\", path + \".csv\") as "
+     "[json_temp, csv_temp]:", None),
+    ("a failed write removes the files renamed before it", "evaluation",
+     "            for path in filter(os.path.exists, temps + renamed):",
+     "            for path in filter(os.path.exists, temps):", None),
+    ("detect writes its events under a temporary name", "cli",
+     "    with evaluation.written_whole(args.out) as [temp]:",
+     "    for temp in [args.out]:", None),
     ("the response peak's column moves x, its row y", "tracker",
      "    regions[:, 0] += dx\n"
      "    regions[:, 1] += dy",
@@ -296,10 +329,8 @@ MUTANTS = [
      "    scores = feats @ model.head.T / np.maximum(np.linalg.norm("
      "feats, axis=1, keepdims=True), 1e-300)", None),
     ("verify writes predictions.csv only beside a whole report", "cli",
-     "    with _written_whole(os.path.join(args.out, \"predictions.csv\")) "
-     "as [temp]:",
-     "    with contextlib.nullcontext([os.path.join(args.out, "
-     "\"predictions.csv\")]) as [temp]:", None),
+     "    with evaluation.written_whole(predictions) as [temp]:",
+     "    for temp in [predictions]:", None),
 ]
 
 

@@ -8,6 +8,7 @@ embed a config hash so runs can be traced back to their flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -43,23 +44,44 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def written_whole():
+    """Yield ``output``, which maps a path to the temporary name beside it
+    that a command writes it to. Once the block completes, every path asked
+    for is renamed from its temporary, in the order first asked for; if the
+    block or a rename fails, the temporaries and the paths renamed so far
+    are removed: a failed command commits none of its files."""
+    temps = {}  # path -> its temporary name
+    renamed = []
+    try:
+        yield lambda path: temps.setdefault(path, path + ".tmp")
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            renamed.append(path)
+    finally:
+        if len(renamed) < len(temps):  # the block or a rename failed
+            for path in filter(os.path.exists, [*temps.values(), *renamed]):
+                os.remove(path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _write_dataset(out: str, clips) -> None:
+def _write_dataset(output, out: str, clips) -> None:
     """Save each ``(split, name, clip)`` as ``clips`` yields it, then write
-    ``out``/manifest.tsv. The first save creates ``out``."""
+    ``out``/manifest.tsv through ``output``. The first save creates
+    ``out``."""
     entries = []
     for split, name, clip in clips:
         path = os.path.join(out, name)
         dataset.save_clip(path, clip)
         entries.append(dataset.ManifestEntry(path, clip.label, split, name))
     os.makedirs(out, exist_ok=True)
-    dataset.write_manifest(os.path.join(out, "manifest.tsv"), entries)
+    dataset.write_manifest(output(os.path.join(out, "manifest.tsv")), entries)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, output) -> int:
     kinds = []  # (split, label) of each clip, in seed order
     for split in ("train", "test"):
         for label in (dataset.LABEL_BLINK, dataset.LABEL_NONBLINK):
@@ -70,7 +92,7 @@ def cmd_synth(args) -> int:
             kinds += [(split, label)] * count
     for label in dict.fromkeys(label for _, label in kinds):
         dataset.check_synth(label, args.length)
-    _write_dataset(args.out, (
+    _write_dataset(output, args.out, (
         (split, f"{split}_{label}_{seed}",
          dataset.synth_clip(seed, label, args.length))
         for seed, (split, label) in enumerate(kinds, args.seed * 1_000_003)))
@@ -79,7 +101,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_polish(args) -> int:
+def cmd_polish(args, output) -> int:
     manifest = dataset.load_manifest(args.manifest)
 
     def polished():
@@ -89,7 +111,7 @@ def cmd_polish(args) -> int:
             yield entry.split, entry.source_id, dataset.polish_clip(
                 clip, args.target_len)
 
-    _write_dataset(args.out, polished())
+    _write_dataset(output, args.out, polished())
     print(f"polished {len(manifest.entries)} clips to {args.target_len} "
           f"frames")
     return 0
@@ -116,7 +138,7 @@ def _load_split_features(path: str, split: str):
     return samples
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, output) -> int:
     train_set = _load_split_features(args.manifest, "train")
     model = mslstm.init_model(hidden=args.hidden, layers=args.layers,
                               scales=args.scales, margin=args.margin,
@@ -130,19 +152,19 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.model}: not written: training reached a "
                          f"non-finite loss or parameter")
     loss_csv = os.path.splitext(args.model)[0] + "_loss.csv"
-    with evaluation.written_whole(args.model, loss_csv) as temps:
-        mslstm.save_model(temps[0], model)
-        with open(temps[1], "w", newline="") as f:
-            csv.writer(f).writerows([("step", "loss"), *(
-                (i, repr(loss)) for i, loss in enumerate(history, start=1))])
+    mslstm.save_model(output(args.model), model)
+    with open(output(loss_csv), "w", newline="") as f:
+        csv.writer(f).writerows([("step", "loss"), *(
+            (i, repr(loss)) for i, loss in enumerate(history, start=1))])
     print(f"trained {args.steps} steps on {len(train_set)} samples; "
           f"model at {args.model}, losses at {loss_csv}")
     return 0
 
 
-def _score(args, manifest, predictions, fr_by_eye, path) -> None:
+def _score(args, manifest, predictions, fr_by_eye, output, path) -> None:
     """Check every row of the predictions CSV at ``predictions`` against
-    ``manifest``, write the report at ``path`` and print one line per eye.
+    ``manifest``, write the report at ``path`` through ``output`` and print
+    one line per eye.
     ``fr_by_eye`` holds the FR of the eyes it was measured for; the others
     report FR as unknown (None)."""
     truth = {entry.source_id: entry.label == dataset.LABEL_BLINK
@@ -198,7 +220,7 @@ def _score(args, manifest, predictions, fr_by_eye, path) -> None:
                         "f1": f1, "fr": fr_by_eye.get(eye)}
     scores = [(conf, is_blink) for eye in EYES
               for conf, is_blink, _ in outcomes[eye]]
-    evaluation.emit_report(path, per_eye, scores, args.seed,
+    evaluation.emit_report(output, path, per_eye, scores, args.seed,
                            _config_hash(args))
     for eye in EYES:
         print(f"{eye}: " + " ".join(
@@ -206,7 +228,7 @@ def _score(args, manifest, predictions, fr_by_eye, path) -> None:
             for k, v in per_eye[eye].items()))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, output) -> int:
     manifest = dataset.load_manifest(args.manifest)
     model = mslstm.load_model(args.model)
     rows = []
@@ -238,38 +260,36 @@ def cmd_verify(args) -> int:
     fr_by_eye = {eye: evaluation.fr(evaluation.LocalizationTally(*counts))
                  for eye, counts in tally.items() if counts[2]}
     os.makedirs(args.out, exist_ok=True)
-    predictions = os.path.join(args.out, "predictions.csv")
-    with evaluation.written_whole(predictions) as [temp]:
-        with open(temp, "w", newline="") as f:
-            csv.writer(f).writerows([PREDICTION_COLUMNS, *rows])
-        _score(args, manifest, temp, fr_by_eye,
-               os.path.join(args.out, "report"))
+    predictions = output(os.path.join(args.out, "predictions.csv"))
+    with open(predictions, "w", newline="") as f:
+        csv.writer(f).writerows([PREDICTION_COLUMNS, *rows])
+    _score(args, manifest, predictions, fr_by_eye, output,
+           os.path.join(args.out, "report"))
     return 0
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args, output) -> int:
     clip = dataset.load_clip(args.frames, dataset.LABEL_NONBLINK, "stream")
     model = mslstm.load_model(args.model)
     events = pipeline.detect_stream(
         clip.frames, pipeline.annotation_locator(clip), model,
         window=args.window, stride=args.stride,
         conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh)
-    with evaluation.written_whole(args.out) as [temp]:
-        with open(temp, "w", newline="") as f:
-            csv.writer(f).writerows([("eye", "start", "end", "confidence"), *(
-                (ev.eye, ev.start, ev.end, repr(ev.confidence))
-                for ev in events)])
+    with open(output(args.out), "w", newline="") as f:
+        csv.writer(f).writerows([("eye", "start", "end", "confidence"), *(
+            (ev.eye, ev.start, ev.end, repr(ev.confidence))
+            for ev in events)])
     print(f"{len(events)} events -> {args.out}")
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, output) -> int:
     _score(args, dataset.load_manifest(args.manifest), args.predictions, {},
-           args.out)
+           output, args.out)
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, output) -> int:
     model = (mslstm.load_model(args.model) if args.model
              else mslstm.init_model(seed=args.seed))
     window = dataset.DEFAULT_CLIP_LEN  # detect's default, at stride 1
@@ -305,7 +325,7 @@ def cmd_bench(args) -> int:
     print("BLAS threads: " + " ".join(f"{var}={value}"
                                       for var, value in threads.items()))
     if args.out:
-        with open(args.out, "w") as f:
+        with open(output(args.out), "w") as f:
             json.dump({"stages": table, "median_total_ms": total_median,
                        "frames": frames_timed, "blas_threads": threads,
                        "config_hash": _config_hash(args)}, f, indent=2)
@@ -398,7 +418,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with written_whole() as output:
+            return args.func(args, output)
     except (BlinkwildError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

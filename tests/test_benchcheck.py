@@ -41,3 +41,16 @@ def test_clean_run_passes():
 def test_each_broken_rule_fails_the_run(returncode, stdout, stderr, problem):
     problems = benchcheck.run_problems(returncode, stdout, stderr, NAMES)
     assert any(problem in p for p in problems), problems
+
+
+FAILED = "FAILED verify: exit 1 error: [Errno 28] No space left on device"
+
+
+@pytest.mark.parametrize("stdout", [
+    FAILED + "\n" + result(correct=False, failed=1),
+    FAILED + "\n" + result(correct=False, failed=1) + "late output\n"])
+def test_a_failed_run_names_the_benchmarks_failed_checks(stdout):
+    """Not only ``correct is False``: the benchmark's own account of what
+    failed comes with it."""
+    problems = benchcheck.run_problems(0, stdout, "", NAMES)
+    assert problems[-1] == FAILED, problems

@@ -209,7 +209,7 @@ SAMPLE_PER_EYE = {"left": {"recall": 1 / 3, "precision": 0.5, "f1": 0.4,
 
 
 def _emit_sample(path):
-    evaluation.emit_report(path, SAMPLE_PER_EYE,
+    evaluation.emit_report(lambda p: p, path, SAMPLE_PER_EYE,
                            [(0.9, True), (0.8, False), (0.8, True),
                             (0.4, False), (0.2, True)],
                            seed=7, config_hash="abc123")

@@ -14,7 +14,8 @@ the root of this checkout. A run passes only if all of these hold:
 
     python3 tools/benchcheck.py train:1-10 stream-detect:1-3 clip-verify:1-3
 
-Prints one line per run and exits 1 if any run failed. It reads
+Prints one line per run and exits 1 if any run failed; a failed run's
+line ends with the ``FAILED ...`` lines the benchmark printed. It reads
 ``blinkbench/`` and ``BENCHMARK.json`` and writes neither, apart from the
 work directory the benchmark itself uses.
 """
@@ -37,7 +38,17 @@ def _reject_constant(name: str):
 
 def run_problems(returncode: int, stdout: str, stderr: str,
                  metric_names) -> list[str]:
-    """What is wrong with one run's outcome; empty when it passes."""
+    """What is wrong with one run's outcome, then the ``FAILED ...`` lines
+    the benchmark printed about it; empty when it passes."""
+    problems = _problems(returncode, stdout, stderr, metric_names)
+    if problems:
+        problems += [line for line in stdout.splitlines()
+                     if line.startswith("FAILED ")]
+    return problems
+
+
+def _problems(returncode: int, stdout: str, stderr: str,
+              metric_names) -> list[str]:
     problems = []
     if returncode != 0:
         problems.append(f"exit status {returncode}")

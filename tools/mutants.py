@@ -30,11 +30,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the test files that exercise each module
 COVERS = {
-    "cli": ["tests/test_cli.py"],
+    "cli": ["tests/test_cli.py", "tests/test_failures.py"],
     "dataset": ["tests/test_dataset.py", "tests/test_pipeline.py",
                 "tests/test_cli.py"],
     "evaluation": ["tests/test_evaluation.py", "tests/test_cli.py",
-                   "tests/test_acceptance.py"],
+                   "tests/test_failures.py", "tests/test_acceptance.py"],
     "features": ["tests/test_features.py", "tests/test_pipeline.py",
                  "tests/test_acceptance.py"],
     "mslstm": ["tests/test_mslstm.py", "tests/test_pipeline.py",
@@ -183,8 +183,8 @@ MUTANTS = [
      "    dh_seq[:n - model.scales] = 0.0",
      "    pass", None),
     ("train writes its model under a temporary name", "cli",
-     "        mslstm.save_model(temps[0], model)",
-     "        mslstm.save_model(args.model, model)", None),
+     "    mslstm.save_model(output(args.model), model)",
+     "    mslstm.save_model(args.model, model)", None),
     ("train writes no model after a non-finite result", "cli",
      "    if not (np.all(np.isfinite(history))",
      "    if False and not (np.all(np.isfinite(history))", None),
@@ -238,32 +238,35 @@ MUTANTS = [
      "                    / 255.0, window)",
      "                    / 1.0, window)", None),
     ("report.json is written under a temporary name", "evaluation",
-     "    with written_whole(path + \".json\", path + \".csv\",\n"
-     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
-     "pr_temp]:",
-     "    json_temp = path + \".json\"\n"
-     "    with written_whole(path + \".csv\", path + \"_pr.csv\") as "
-     "[csv_temp, pr_temp]:", None),
+     "    with open(output(path + \".json\"), \"w\") as f:",
+     "    with open(path + \".json\", \"w\") as f:", None),
     ("report.csv is written under a temporary name", "evaluation",
-     "    with written_whole(path + \".json\", path + \".csv\",\n"
-     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
-     "pr_temp]:",
-     "    csv_temp = path + \".csv\"\n"
-     "    with written_whole(path + \".json\", path + \"_pr.csv\") as "
-     "[json_temp, pr_temp]:", None),
+     "    with open(output(path + \".csv\"), \"w\", newline=\"\") as f:",
+     "    with open(path + \".csv\", \"w\", newline=\"\") as f:", None),
     ("report_pr.csv is written under a temporary name", "evaluation",
-     "    with written_whole(path + \".json\", path + \".csv\",\n"
-     "                       path + \"_pr.csv\") as [json_temp, csv_temp, "
-     "pr_temp]:",
-     "    pr_temp = path + \"_pr.csv\"\n"
-     "    with written_whole(path + \".json\", path + \".csv\") as "
-     "[json_temp, csv_temp]:", None),
-    ("a failed write removes the files renamed before it", "evaluation",
-     "            for path in filter(os.path.exists, temps + renamed):",
-     "            for path in filter(os.path.exists, temps):", None),
+     "    with open(output(path + \"_pr.csv\"), \"w\", newline=\"\") as f:",
+     "    with open(path + \"_pr.csv\", \"w\", newline=\"\") as f:", None),
+    ("a failed write removes the files renamed before it", "cli",
+     "            for path in filter(os.path.exists, [*temps.values(), "
+     "*renamed]):",
+     "            for path in filter(os.path.exists, temps.values()):", None),
+    ("a command's files are renamed only after the command returns", "cli",
+     "        for path, temp in temps.items():\n"
+     "            os.replace(temp, path)\n"
+     "            renamed.append(path)\n"
+     "    finally:",
+     "    finally:\n"
+     "        for path, temp in temps.items():\n"
+     "            os.replace(temp, path)\n"
+     "            renamed.append(path)", None),
+    ("the report files share the command's one transaction", "cli",
+     "    evaluation.emit_report(output, path, per_eye, scores, args.seed,",
+     "    with written_whole() as output:\n"
+     "        evaluation.emit_report(output, path, per_eye, scores, "
+     "args.seed,", None),
     ("detect writes its events under a temporary name", "cli",
-     "    with evaluation.written_whole(args.out) as [temp]:",
-     "    for temp in [args.out]:", None),
+     "    with open(output(args.out), \"w\", newline=\"\") as f:",
+     "    with open(args.out, \"w\", newline=\"\") as f:", None),
     ("the response peak's column moves x, its row y", "tracker",
      "    regions[:, 0] += dx\n"
      "    regions[:, 1] += dy",
@@ -329,8 +332,8 @@ MUTANTS = [
      "    scores = feats @ model.head.T / np.maximum(np.linalg.norm("
      "feats, axis=1, keepdims=True), 1e-300)", None),
     ("verify writes predictions.csv only beside a whole report", "cli",
-     "    with evaluation.written_whole(predictions) as [temp]:",
-     "    for temp in [predictions]:", None),
+     "    predictions = output(os.path.join(args.out, \"predictions.csv\"))",
+     "    predictions = os.path.join(args.out, \"predictions.csv\")", None),
 ]
 
 

@@ -66,10 +66,10 @@ def uniform_lbp(patch: np.ndarray) -> np.ndarray:
         raise ValueError("patch must be at least 3x3")
     h, w = patch.shape[-2:]
     center = patch[..., 1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.int64)
+    codes = np.zeros(center.shape, dtype=np.uint8)
     for bit, (dy, dx) in enumerate(_NEIGHBOR_OFFSETS):
         ring = patch[..., 1 + dy:h - 1 + dy, 1 + dx:w - 1 + dx]
-        codes |= (ring >= center).astype(np.int64) << bit
+        codes |= (ring >= center).view(np.uint8) << np.uint8(bit)
     lead = patch.shape[:-2]
     n = math.prod(lead)
     # one bincount for the whole stack: patch k counts into bins 59k..59k+58

@@ -75,9 +75,10 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
     is the locator's fresh box if it found one, and otherwise the tracker's
     guess. The track ends there, with no box from that frame on, when there
     is no box or ``tracker.track_size`` raises on it. A track whose clip
-    has a next frame stays in a stack: a guess is adapted in its own stack,
-    and a fresh box is learned as a new row of the stack of its padded
-    size. Every other row leaves its stack.
+    has a next frame is a row of the next frame's stack of its padded size,
+    which one ``tracker.stack_learn`` per size builds: a guess is retrained
+    and blended in, and a fresh box is learned afresh. No other track has a
+    row there.
     """
     if any(not frames for frames, _ in clips):
         raise ValueError("need at least one frame")
@@ -92,7 +93,7 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
         for size, stack in stacks.items():
             frames_t = [clips[c][0][t] for c, _ in stack.keys]
             located = tracker.stack_locate(stack, frames_t)
-            found[size] = frames_t, located
+            found[size] = stack, frames_t, located
             tracks += zip(stack.keys, range(len(stack.keys)),
                           map(tuple, located.regions.tolist()),
                           located.scores.tolist())
@@ -100,7 +101,7 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
                if guess is None or score < TRACK_THRESH}
         records = {c: clips[c][1](clips[c][0][t], t)
                    for c in sorted({c for c, _ in low})}
-        kept, joins = defaultdict(list), defaultdict(list)
+        kept, relocated = defaultdict(list), defaultdict(list)
         for key, row, guess, score in tracks:
             frames, stream = clips[key[0]][0], out[key[0]][key[1]]
             fresh = None
@@ -125,16 +126,11 @@ def track_clips(clips) -> list[dict[str, TrackedStream]]:
                 if fresh is None:
                     kept[size].append(row)
                 else:
-                    joins[size].append((key, fresh))
-        for size, rows in kept.items():
-            tracker.stack_adapt(stacks[size], rows, *found[size])
-        stacks = {size: stacks[size] for size in kept}
-        for size, rows in joins.items():
-            if size not in stacks:
-                stacks[size] = tracker.kcf_stack(size)
-            keys, regions = zip(*rows)
-            tracker.stack_join(stacks[size], keys,
-                               [clips[c][0][t] for c, _ in keys], regions)
+                    relocated[size].append((key, frames[t], fresh))
+        stacks = {size: tracker.stack_learn(size, *found.get(size, ()),
+                                            rows=kept[size],
+                                            fresh=relocated[size])
+                  for size in {**kept, **relocated}}
         tracks = []
     return out
 

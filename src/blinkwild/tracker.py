@@ -13,13 +13,14 @@ centred outside the frame is the one thing that ends a track. The Hann
 window and target spectrum are built once per padded size and shared,
 read-only, by every track of that size.
 
-The kernels take a leading track axis. A ``KcfStack`` keeps every track of
-one padded size as one row of stacked arrays, so that one call locates all
-of them (``stack_locate``) and one call keeps the rows a caller names,
-retrained (``stack_adapt``); every other row leaves the stack there. A track
-learned afresh joins the stack of its padded size as a new row
-(``stack_join``). ``kcf_init`` and ``kcf_update`` are the same calls on a
-stack of one row.
+The kernels take a leading track axis. A ``KcfStack`` is a value holding
+every track of one padded size as one row of stacked arrays. Two calls run
+its tracks in lockstep: ``stack_locate`` reads a stack and locates all its
+rows, and ``stack_learn`` builds the next frame's stack of one padded size
+from the rows a caller keeps, retrained, and the rows it learns afresh.
+``kcf_init`` is ``stack_learn`` on one fresh row, and ``kcf_update``
+``stack_locate`` on a stack of one row. A row's bits do not depend on the
+other rows of its stack.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ class TrackResult:
     score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class KcfStack:
     """The tracks of one padded size: row i of ``template_hat``,
     ``alpha_hat`` and ``regions`` is one track, ``keys[i]`` the caller's
-    name for it."""
+    name for it. Nothing changes a stack's arrays once it is built."""
     window: np.ndarray = field(repr=False)        # Hann window, patch shape
     y_hat: np.ndarray = field(repr=False)         # rfft2 of target response
     template_hat: np.ndarray = field(repr=False)  # (tracks, H, W // 2 + 1)
@@ -105,8 +106,12 @@ def _kernel(x_hat: np.ndarray, z_hat: np.ndarray, energy,
     ``energy`` is ||x||^2 + ||z||^2 per row; the circular cross-correlation
     takes a single inverse transform.
     """
-    # as written: numpy's conj-temporary elision sets the operands' order
-    k = _irfft2(x_hat * np.conj(z_hat), shape)
+    # into the conjugate, x_hat first, so numpy's elision of a large
+    # temporary cannot swap the operands: a row's bits are the same in a
+    # stack of any height
+    cross = np.conj(z_hat)
+    np.multiply(x_hat, cross, out=cross)
+    k = _irfft2(cross, shape)
     k *= -2.0
     k += np.asarray(energy)[..., None, None]
     k /= shape[0] * shape[1]
@@ -184,7 +189,7 @@ def _size_constants(size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Hann window and target spectrum ``y_hat`` of a padded
     size."""
     window = np.outer(np.hanning(size[0]), np.hanning(size[1]))
-    y_hat = np.fft.rfft2(_target_response(size))
+    y_hat = _rfft2(_target_response(size))
     window.flags.writeable = y_hat.flags.writeable = False
     return window, y_hat
 
@@ -220,26 +225,6 @@ def track_size(frame: np.ndarray, region) -> tuple[int, int]:
 # the tracks of one padded size, updated in lockstep
 
 
-def kcf_stack(size: tuple[int, int]) -> KcfStack:
-    """An empty stack for tracks of padded ``size``."""
-    window, y_hat = _size_constants(size)
-    empty = np.empty((0, *y_hat.shape), dtype=y_hat.dtype)
-    return KcfStack(window=window, y_hat=y_hat, template_hat=empty,
-                    alpha_hat=empty, regions=np.empty((0, 4)), keys=[])
-
-
-def stack_join(stack: KcfStack, keys: list, frames, regions) -> None:
-    """Learn one new row per key from its frame at its region, after the
-    rows already there. Each region has the stack's padded size and its
-    center inside its frame."""
-    template_hat, energy = _transform(frames, regions, stack.window)
-    alpha_hat = _train(template_hat, energy, stack.y_hat, stack.window.shape)
-    stack.template_hat = np.concatenate([stack.template_hat, template_hat])
-    stack.alpha_hat = np.concatenate([stack.alpha_hat, alpha_hat])
-    stack.regions = np.concatenate([stack.regions, np.array(regions)])
-    stack.keys = stack.keys + list(keys)
-
-
 def stack_locate(stack: KcfStack, frames) -> Located:
     """Locate every row's target in its frame (one per row): the response
     map is evaluated at the row's region and its peak, a circular shift
@@ -267,33 +252,45 @@ def stack_locate(stack: KcfStack, frames) -> Located:
                    probe_energy=probe_energy, moved=(dx != 0) | (dy != 0))
 
 
-def stack_adapt(stack: KcfStack, rows, frames, located: Located) -> None:
-    """Keep only ``rows`` of the stack, in that order, each moved to the
-    region ``located`` found for it in ``frames`` (one per row of the
-    stack), retrained there and blended with its fresh model at rate
-    ``INTERP``; a row whose region did not move trains on its probe. The
-    blend runs on the spectra, which equals the spectrum of the blended
-    template. Every other row leaves the stack. Each kept region's center
-    lies inside its frame."""
-    regions = located.regions[rows]
-    fresh_hat = located.probe_hat[rows]
-    fresh_energy = located.probe_energy[rows]
-    moved = np.flatnonzero(located.moved[rows])
-    if moved.size:
-        fresh_hat[moved], fresh_energy[moved] = _transform(
-            [frames[rows[i]] for i in moved], regions[moved].tolist(),
-            stack.window)
-    fresh_alpha = _train(fresh_hat, fresh_energy, stack.y_hat,
-                         stack.window.shape)
-    # ``rows`` indexes, never slices: both blends write into copies
-    template_hat, alpha_hat = stack.template_hat[rows], stack.alpha_hat[rows]
-    for old, fresh in ((template_hat, fresh_hat), (alpha_hat, fresh_alpha)):
-        old *= 1 - INTERP
-        fresh *= INTERP
-        old += fresh
-    stack.template_hat, stack.alpha_hat = template_hat, alpha_hat
-    stack.regions = regions
-    stack.keys = [stack.keys[i] for i in rows]
+def stack_learn(size: tuple[int, int], stack: KcfStack | None = None,
+                frames=(), located: Located | None = None, rows=(),
+                fresh=()) -> KcfStack:
+    """The stack of padded ``size`` for the next frame. First come
+    ``rows`` of ``stack``, in that order, each moved to the region
+    ``located`` found for it in ``frames`` (one per row of ``stack``),
+    retrained there and blended with its fresh model at rate ``INTERP``;
+    a row whose region did not move trains on its probe. The blend runs on
+    the spectra, which equals the spectrum of the blended template. Then
+    comes one row per ``(key, frame, region)`` of ``fresh``, learned
+    afresh. Every other row of ``stack`` is left out, and neither
+    ``stack`` nor ``located`` is changed. Each region has padded ``size``
+    and its center inside its frame."""
+    window, y_hat = _size_constants(size)
+    n = len(rows)
+    keys, row_frames, regions = zip(*[
+        (stack.keys[i], frames[i], located.regions[i]) for i in rows], *fresh)
+    regions = np.array(regions)
+    # a kept row that moved is transformed anew, as is every fresh row
+    learn = [i for i, row in enumerate(rows) if located.moved[row]]
+    learn += range(n, len(keys))
+    template_hat = np.empty((len(keys), *y_hat.shape), dtype=y_hat.dtype)
+    energy = np.empty(len(keys))
+    if n:
+        template_hat[:n] = located.probe_hat[rows]
+        energy[:n] = located.probe_energy[rows]
+    if learn:
+        template_hat[learn], energy[learn] = _transform(
+            [row_frames[i] for i in learn], regions[learn].tolist(), window)
+    alpha_hat = _train(template_hat, energy, y_hat, size)
+    if n:
+        # ``rows`` indexes, never slices: the old model is read from copies
+        for old, new in ((stack.template_hat[rows], template_hat[:n]),
+                         (stack.alpha_hat[rows], alpha_hat[:n])):
+            old *= 1 - INTERP
+            new *= INTERP
+            new += old
+    return KcfStack(window=window, y_hat=y_hat, template_hat=template_hat,
+                    alpha_hat=alpha_hat, regions=regions, keys=list(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +302,8 @@ def kcf_init(frame: np.ndarray, region: tuple[float, float, float, float],
     """A one-row stack holding the filter learned for the padded patch
     around ``region``. A padded side below 4 px raises RegionTooSmallError,
     a TrackLostError. ``params`` is not read."""
-    stack = kcf_stack(track_size(frame, region))
-    stack_join(stack, [None], [frame], [region])
-    return stack
+    return stack_learn(track_size(frame, region),
+                       fresh=[(None, frame, region)])
 
 
 def kcf_update(stack: KcfStack,

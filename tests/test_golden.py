@@ -48,8 +48,7 @@ def _recording():
     counts = record["counts"]
     track_clips, annotation_locator = (pipeline.track_clips,
                                        pipeline.annotation_locator)
-    stack_locate, stack_join, stack_adapt = (
-        tracker.stack_locate, tracker.stack_join, tracker.stack_adapt)
+    stack_locate, stack_learn = tracker.stack_locate, tracker.stack_learn
     predict = mslstm.predict
 
     def tracking(clips):
@@ -77,13 +76,10 @@ def _recording():
         counts["rows_located"] += len(stack.keys)
         return stack_locate(stack, frames)
 
-    def joining(stack, keys, frames, regions):
-        counts["rows_learned"] += len(keys)
-        return stack_join(stack, keys, frames, regions)
-
-    def adapting(stack, rows, frames, located):
+    def learning(size, *kept, rows=(), fresh=()):
         counts["rows_adapted"] += len(rows)
-        return stack_adapt(stack, rows, frames, located)
+        counts["rows_learned"] += len(fresh)
+        return stack_learn(size, *kept, rows=rows, fresh=fresh)
 
     def predicting(model, seq):
         counts["predict_calls"] += 1
@@ -95,8 +91,7 @@ def _recording():
                 (pipeline, "track_clips", tracking),
                 (pipeline, "annotation_locator", locator),
                 (tracker, "stack_locate", locating),
-                (tracker, "stack_join", joining),
-                (tracker, "stack_adapt", adapting),
+                (tracker, "stack_learn", learning),
                 (mslstm, "predict", predicting)):
             stack.enter_context(mock.patch.object(module, name, wrapper))
         yield record

@@ -1,7 +1,10 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blinkwild import dataset, features, mslstm, pipeline, tracker
 from blinkwild.errors import TrackLostError
@@ -286,32 +289,28 @@ def test_track_matches_reference_when_locator_fails():
 
 
 def test_track_retrains_only_kept_frames(monkeypatch):
-    """Below a clip's last frame, each frame adapts exactly the rows it
-    keeps and learns afresh exactly the rows it re-localizes; its last
-    frame adapts and learns nothing. Seed 1's last frame re-localizes both
-    eyes and seed 3's keeps both; both clips have one padded size, so frame
-    t is the t-th stacked locate."""
-    t, adapted, joined = 0, {}, {}
-    stack_locate = tracker.stack_locate
-    adapt, join = tracker.stack_adapt, tracker.stack_join
+    """Below a clip's last frame, each frame makes one ``stack_learn``
+    call, which adapts exactly the rows it keeps and learns afresh exactly
+    the rows it re-localizes; its last frame makes none. Seed 1's last
+    frame re-localizes both eyes and seed 3's keeps both; both clips have
+    one padded size, so frame t is the t-th stacked locate."""
+    t, learned = 0, {}
+    stack_locate, stack_learn = tracker.stack_locate, tracker.stack_learn
 
     def locating(stack, frames_t):
         nonlocal t
         t += 1
         return stack_locate(stack, frames_t)
 
+    def learning(size, *kept, rows=(), fresh=()):
+        learned.setdefault(t, []).append((len(rows), len(fresh)))
+        return stack_learn(size, *kept, rows=rows, fresh=fresh)
+
     monkeypatch.setattr(tracker, "stack_locate", locating)
-    monkeypatch.setattr(tracker, "stack_adapt",
-                        lambda stack, rows, *rest: adapted.setdefault(
-                            t, []).append(len(rows))
-                        or adapt(stack, rows, *rest))
-    monkeypatch.setattr(tracker, "stack_join",
-                        lambda stack, keys, *rest: joined.setdefault(
-                            t, []).append(len(keys))
-                        or join(stack, keys, *rest))
+    monkeypatch.setattr(tracker, "stack_learn", learning)
     for seed, last_relocs in [(1, 2), (3, 0)]:
         frames, locate = _clip_frames_and_locator("clip", seed)
-        t, adapted, joined = 0, {}, {}
+        t, learned = 0, {}
         streams = pipeline.track_eyes(frames, locate)
         last = len(frames) - 1
         assert t == last
@@ -320,10 +319,8 @@ def test_track_retrains_only_kept_frames(monkeypatch):
                   for i in range(len(frames))]
         assert relocs[last] == last_relocs
         assert 0 < sum(relocs[1:last]) < 2 * (last - 1)
-        assert adapted == {i: [2 - relocs[i]] for i in range(1, last)
-                           if relocs[i] < 2}
-        assert joined == {0: [2], **{i: [relocs[i]] for i in range(1, last)
-                                     if relocs[i]}}
+        assert learned == {0: [(0, 2)], **{
+            i: [(2 - relocs[i], relocs[i])] for i in range(1, last)}}
 
 
 def shift_leaving_frame():
@@ -402,8 +399,8 @@ def resized_on_last_frame(face_width):
 
 def test_track_clips_matches_reference_per_clip_and_eye():
     """One lockstep call over clips of 1 to 60 frames, with tracks of 18,
-    30 and 40 px patches, against each clip and eye tracked alone. Scores
-    may differ by float64 rounding of the stacked products."""
+    30 and 40 px patches, against each clip and eye tracked alone, score
+    bits included."""
     frames, locate = _clip_frames_and_locator("clip", 3)
     group = [_clip_frames_and_locator("stream", 0),
              _clip_frames_and_locator("clip", 1),
@@ -427,8 +424,7 @@ def test_track_clips_matches_reference_per_clip_and_eye():
             assert stream.boxes == want.boxes
             assert stream.reloc_indices == want.reloc_indices
             assert stream.lost_from == want.lost_from
-            assert np.max(np.abs(np.subtract(stream.scores,
-                                             want.scores))) <= 1e-12
+            assert np.array_equal(stream.scores, want.scores)
             sizes.update(tracker.track_size(frame, box) for frame, box
                          in zip(frames, stream.boxes) if box)
     assert sizes == {(18, 18), (30, 30), (40, 40)}
@@ -445,6 +441,65 @@ def test_track_clips_matches_reference_per_clip_and_eye():
     assert 4 in resized.reloc_indices
     assert [b[2] for b in resized.boxes] == [16.0] * 4 + [12.0] * 6
     assert pipeline.track_clips([]) == []
+
+
+def test_a_clip_tracks_alike_alone_and_in_a_group():
+    """Each of 16 seeded clips tracked alone gets the streams, score bits
+    included, that it gets in one 16-clip lockstep call, whose stack of 32
+    40x40 spectra passes numpy's 256 KiB temporary-elision size."""
+    group = [_clip_frames_and_locator("clip", seed) for seed in range(16)]
+    for clip, streams in zip(group, pipeline.track_clips(group)):
+        assert pipeline.track_eyes(*clip) == streams
+
+
+# what a scripted locator returns at a frame, from the frame's record
+LOCATOR_STEPS = {
+    "exact": lambda rec: rec,
+    "none": lambda rec: None,
+    "outside": lambda rec: replace(
+        rec, left_eye=dataset.EyeCenter(-2.0, rec.left_eye.y)),
+    # both boxes grow from 16 to 20 px (40 to 50 px padded)
+    "resized": lambda rec: replace(
+        rec, right_eye=dataset.EyeCenter(rec.right_eye.x + 10.0,
+                                         rec.right_eye.y)),
+    # the left box is 1 px (2 px padded), the right eye invisible
+    "tiny": lambda rec: replace(
+        rec, right_eye=dataset.EyeCenter.invisible(),
+        face_box=(*rec.face_box[:2], 9.0, rec.face_box[3])),
+}
+
+
+@lru_cache(maxsize=None)
+def _twelve_frame_clip(seed):
+    return dataset.synth_clip(
+        seed, (dataset.LABEL_BLINK, dataset.LABEL_NONBLINK)[seed % 2], 12)
+
+
+def scripted(seed, steps):
+    """The first ``len(steps)`` frames of a seeded clip, and a locator
+    that answers frame t with ``LOCATOR_STEPS[steps[t]]`` of its record."""
+    clip = _twelve_frame_clip(seed)
+    return (list(clip.frames[:len(steps)]),
+            lambda frame, t: LOCATOR_STEPS[steps[t]](clip.annotations[t]))
+
+
+# "exact" is three of the seven draws
+STEP_DRAWS = st.sampled_from(["exact"] * 3 + list(LOCATOR_STEPS)[1:])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 3),
+                          st.lists(STEP_DRAWS, min_size=1, max_size=12)),
+                min_size=1, max_size=6))
+def test_track_clips_matches_reference_on_generated_groups(scripts):
+    """Groups of 1-6 clips of 1-12 frames, each frame's locator step
+    drawn from ``LOCATOR_STEPS``: each clip and eye of one lockstep call
+    equals its own ``reference_track_one_eye``, score bits included."""
+    group = [scripted(seed, steps) for seed, steps in scripts]
+    for (frames, locate), streams in zip(group, pipeline.track_clips(group)):
+        for eye, stream in streams.items():
+            assert stream == reference_track_one_eye(frames, locate, eye)
 
 
 def test_track_clips_rejects_a_clip_with_no_frames():

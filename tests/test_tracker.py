@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,15 +83,12 @@ def test_dft_round_trip(rng):
 
 def full_update(stack, frame):
     """Locate, then retrain on every frame: the tracker's full update, as
-    the stacked calls ``track_clips`` makes, on a copy of a one-row
-    stack."""
+    the lockstep calls ``track_clips`` makes, on a one-row stack."""
     located = tracker.stack_locate(stack, [frame])
-    stack = replace(stack, template_hat=stack.template_hat.copy(),
-                    alpha_hat=stack.alpha_hat.copy(),
-                    regions=stack.regions.copy())
-    tracker.stack_adapt(stack, np.array([0]), [frame], located)
-    return stack, tracker.TrackResult(tuple(located.regions[0].tolist()),
-                                      float(located.scores[0]))
+    return (tracker.stack_learn(stack.window.shape, stack, [frame], located,
+                                [0]),
+            tracker.TrackResult(tuple(located.regions[0].tolist()),
+                                float(located.scores[0])))
 
 
 def test_self_detection_score_near_one(rng):
@@ -347,11 +343,11 @@ def test_adapt_keeps_only_its_rows_in_their_order(rng):
     regions = [(30.0, 40.0, 16.0, 16.0), (60.0, 40.0, 16.0, 16.0),
                (45.0, 60.0, 16.0, 16.0)]
     frames = [shifted, shifted, base]
-    stack = tracker.kcf_stack((40, 40))
-    tracker.stack_join(stack, ["a", "b", "c"], [base] * 3, regions)
+    stack = tracker.stack_learn((40, 40),
+                                fresh=list(zip("abc", [base] * 3, regions)))
     located = tracker.stack_locate(stack, frames)
     assert located.moved.tolist() == [True, True, False]
-    tracker.stack_adapt(stack, [2, 0], frames, located)
+    stack = tracker.stack_learn((40, 40), stack, frames, located, [2, 0])
     assert stack.keys == ["c", "a"]
     for i, row in enumerate([2, 0]):
         want, _ = full_update(tracker.kcf_init(base, regions[row]),
@@ -445,7 +441,9 @@ def _rows(rng, n, shapes=((96, 128),)):
 def test_numerics_equal_their_references_bit_for_bit(rng, n, shapes):
     """Stacks of 1, 2 and 20 rows (20 40x40 spectra pass numpy's 256 KiB
     temporary-elision size) and one stack of rows from frames of three
-    sizes: each helper gives exactly its reference's bits."""
+    sizes: each helper gives exactly its reference's bits, the kernel and
+    the training those of their references applied to one row at a time,
+    so that no row's bits depend on the height of its stack."""
     window, y_hat = tracker._size_constants((40, 40))
     frames, regions = _rows(rng, n, shapes)
     crops = np.stack([tracker._extract(f, r, window.shape) / 255.0
@@ -458,11 +456,15 @@ def test_numerics_equal_their_references_bit_for_bit(rng, n, shapes):
     assert np.array_equal(x_energy, want_energy)
     z_hat, z_energy = ref_transform(frames[::-1], regions[::-1], window)
     energy = x_energy + z_energy
+    one = [[i] for i in range(n)]
     assert np.array_equal(
         tracker._kernel(x_hat, z_hat, energy, (40, 40), tracker.SIGMA_K),
-        ref_kernel(x_hat, z_hat, energy, (40, 40), tracker.SIGMA_K))
-    assert np.array_equal(tracker._train(x_hat, x_energy, y_hat, (40, 40)),
-                          ref_train(x_hat, x_energy, y_hat, (40, 40)))
+        np.concatenate([ref_kernel(x_hat[i], z_hat[i], energy[i], (40, 40),
+                                   tracker.SIGMA_K) for i in one]))
+    assert np.array_equal(
+        tracker._train(x_hat, x_energy, y_hat, (40, 40)),
+        np.concatenate([ref_train(x_hat[i], x_energy[i], y_hat, (40, 40))
+                        for i in one]))
 
 
 def test_single_patch_and_border_crop_equal_their_references(rng):
@@ -494,21 +496,32 @@ def test_gaussian_correlation_scalar_energy_equals_reference(rng):
 
 
 def test_adapt_equals_the_reference_blend(rng):
-    """``stack_adapt``'s in-place blend gives the bits of
+    """``stack_learn``'s in-place blend gives the bits of
     ``(1 - INTERP) * old + INTERP * fresh`` on the template and on alpha,
     with moved rows re-transformed and the others training on their
-    probe; ``located`` itself is left as it was."""
+    probe; the rows learned afresh after them are not blended, and neither
+    ``located`` nor the old stack is changed."""
     window, y_hat = tracker._size_constants((40, 40))
-    frames, regions = _rows(rng, 6)
-    stack = tracker.kcf_stack((40, 40))
-    tracker.stack_join(stack, list("abcdef"), frames, regions)
+    frames, regions = _rows(rng, 8)
+    old = tracker.stack_learn((40, 40), fresh=list(zip(
+        "abcdef", frames[:6], regions[:6])))
+    old_template, old_alpha = old.template_hat.copy(), old.alpha_hat.copy()
     shifted = [np.roll(f, (i % 2) * 3, axis=1) for i, f in enumerate(frames)]
-    located = tracker.stack_locate(stack, shifted)
+    located = tracker.stack_locate(old, shifted[:6])
     probe_hat = located.probe_hat.copy()
     rows = [4, 1, 0, 3]
-    old_template, old_alpha = stack.template_hat, stack.alpha_hat
-    tracker.stack_adapt(stack, rows, shifted, located)
+    stack = tracker.stack_learn((40, 40), old, shifted[:6], located, rows,
+                                list(zip("gh", frames[6:], regions[6:])))
     assert np.array_equal(located.probe_hat, probe_hat)
+    assert np.array_equal(old.template_hat, old_template)
+    assert np.array_equal(old.alpha_hat, old_alpha)
+    assert stack.keys == list("ebadgh")
+    assert stack.regions[4:].tolist() == [list(r) for r in regions[6:]]
+    fresh_hat, fresh_energy = ref_transform(frames[6:], regions[6:], window)
+    assert np.array_equal(stack.template_hat[4:], fresh_hat)
+    assert np.array_equal(stack.alpha_hat[4:], np.concatenate([
+        ref_train(fresh_hat[[i]], fresh_energy[[i]], y_hat, (40, 40))
+        for i in range(2)]))
     for i, row in enumerate(rows):
         if located.moved[row]:
             fresh_hat, fresh_energy = ref_transform(

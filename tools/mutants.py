@@ -129,7 +129,7 @@ MUTANTS = [
     ("a re-localized track is learned afresh, not adapted", "pipeline",
      "                if fresh is None:",
      "                if row is not None:", None),
-    ("a re-localized row joins the stack of its new padded size",
+    ("a re-localized row is learned in the stack of its new padded size",
      "pipeline",
      "                size = tracker.track_size(frames[t], box)",
      "                size = tracker.track_size(frames[t], guess or box)",
@@ -221,10 +221,27 @@ MUTANTS = [
      "    return 0 <= region[0] < frame.shape[1] and 0 < region[1] < "
      "frame.shape[0]", None),
     ("the blend keeps 1 - INTERP of the model", "tracker",
-     "        old *= 1 - INTERP\n"
-     "        fresh *= INTERP",
-     "        old *= INTERP\n"
-     "        fresh *= 1 - INTERP", None),
+     "            old *= 1 - INTERP\n"
+     "            new *= INTERP",
+     "            old *= INTERP\n"
+     "            new *= 1 - INTERP", None),
+    ("fresh rows are not blended", "tracker",
+     "        for old, new in ((stack.template_hat[rows], template_hat[:n]),\n"
+     "                         (stack.alpha_hat[rows], alpha_hat[:n])):",
+     "        for old, new in ((stack.template_hat[rows], template_hat[-n:]),"
+     "\n"
+     "                         (stack.alpha_hat[rows], alpha_hat[-n:])):",
+     None),
+    ("only the listed rows are kept", "tracker",
+     "    n = len(rows)",
+     "    rows = range(len(stack.keys)) if stack else rows\n"
+     "    n = len(rows)", None),
+    ("the kernel's product keeps its operand order at any stack height",
+     "tracker",
+     "    cross = np.conj(z_hat)\n"
+     "    np.multiply(x_hat, cross, out=cross)\n"
+     "    k = _irfft2(cross, shape)",
+     "    k = _irfft2(x_hat * np.conj(z_hat), shape)", None),
     ("the kernel's cross term is -2 corr", "tracker",
      "    k *= -2.0",
      "    k *= -1.0", None),
